@@ -6,16 +6,15 @@ Three choices are supported everywhere in the package:
     "one"  sum norm        induced matrix norm = max absolute column sum
     "two"  Euclidean norm  induced matrix norm = spectral norm
 
-The spectral norm is approximated by a fixed number of power-iteration
-steps on A^T A with a seeded start vector, so repeated runs agree bit for
-bit.  "max" and "one" are exact in closed form.
+All three matrix norms are exact: "max" and "one" in closed form, the
+spectral norm as the largest singular value from LAPACK's SVD.  Each norm
+is defined once, over a stack of vectors or matrices; vector_norm and
+matrix_norm are the one-element cases.
 """
 
 import numpy as np
 
 NORM_KINDS = ("max", "one", "two")
-
-_POWER_STEPS = 50
 
 
 def _check_kind(kind):
@@ -23,40 +22,32 @@ def _check_kind(kind):
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def vector_norm(x, kind="max"):
+def vector_norms(x, kind="max"):
+    """Norms over the last axis: a stack (S, n) gives (S,), a vector (n,) a scalar."""
     _check_kind(kind)
     x = np.asarray(x, dtype=float)
     if kind == "max":
-        return float(np.max(np.abs(x)))
+        return np.max(np.abs(x), axis=-1)
     if kind == "one":
-        return float(np.sum(np.abs(x)))
-    return float(np.sqrt(np.dot(x, x)))
+        return np.sum(np.abs(x), axis=-1)
+    return np.sqrt(np.vecdot(x, x))
+
+
+def vector_norm(x, kind="max"):
+    return float(vector_norms(x, kind))
+
+
+def matrix_norms(a, kind="max"):
+    """Induced norms over the last two axes: a stack (S, n, n) gives (S,)."""
+    _check_kind(kind)
+    a = np.asarray(a, dtype=float)
+    if kind == "max":
+        return np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    if kind == "one":
+        return np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def matrix_norm(a, kind="max"):
     """Operator norm of a dense matrix, induced by the chosen vector norm."""
-    _check_kind(kind)
-    a = np.asarray(a, dtype=float)
-    if kind == "max":
-        return float(np.max(np.sum(np.abs(a), axis=1)))
-    if kind == "one":
-        return float(np.max(np.sum(np.abs(a), axis=0)))
-    return _spectral_norm(a)
-
-
-def _spectral_norm(a):
-    # Power iteration on a^T a; deterministic start so results reproduce.
-    n = a.shape[1]
-    if n == 1:
-        return float(np.sqrt(np.sum(a * a)))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.sqrt(np.dot(v, v))
-    for _ in range(_POWER_STEPS):
-        w = a.T @ (a @ v)
-        nw = np.sqrt(np.dot(w, w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    av = a @ v
-    return float(np.sqrt(np.dot(av, av)))
+    return float(matrix_norms(a, kind))

@@ -29,7 +29,7 @@ from .errors import (
     RadiusOutOfRange,
 )
 from .majorant import MajorantModel, TabulatedOmega
-from .norms import NORM_KINDS, matrix_norm, vector_norm
+from .norms import NORM_KINDS, matrix_norm, matrix_norms, vector_norm, vector_norms
 
 STOP_STEP_TOL = "step_tol"
 STOP_RESIDUAL_TOL = "residual_tol"
@@ -46,6 +46,10 @@ MODE_DIRECT = "direct"
 MODE_CENTERED = "centered"
 
 DEFAULT_NUM_RADII = 24
+
+# The estimator applies B and the norm to stacks of sampled Jacobians of at
+# most this many floats (64 KiB), so its memory does not grow with the budget.
+_STACK_FLOATS = 2**13
 
 
 @dataclass(frozen=True)
@@ -347,34 +351,39 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64,
     if samples_per_radius < 1:
         raise BadParameters("samples_per_radius must be >= 1")
 
-    mn = lambda m: matrix_norm(m, problem.norm)
-    eye = np.eye(problem.dim)
-    j0 = _eval_jacobian(problem, problem.x0)
-    bj0 = problem.slope @ j0
+    n = problem.dim
     if mode == MODE_DIRECT:
-        base = mn(bj0 - eye)
-        if base >= 1.0:
-            raise NuNotContractive(
-                f"||B F'(x0) - I|| = {base} >= 1: not a contraction at x0"
-            )
+        base = _contraction_at_start(problem)
+        shift = np.eye(n)
     else:
         base = 0.0
+        shift = problem.slope @ _eval_jacobian(problem, problem.x0)
 
+    chunk = max(1, _STACK_FLOATS // n**2)
+    jacobians = np.empty((chunk, n, n))
+    defects = np.empty_like(jacobians)
     rng = np.random.default_rng(seed)
     knots = [(0.0, base)]
     running = base
     for radius in radii:
+        points = _sphere_points(problem, radius, samples_per_radius, rng)
         worst = 0.0
-        for x in _sphere_points(problem, radius, samples_per_radius, rng):
-            bj = problem.slope @ _eval_jacobian(problem, x)
-            mat = bj - eye if mode == MODE_DIRECT else bj - bj0
-            worst = max(worst, mn(mat))
+        for lo in range(0, len(points), chunk):
+            part = points[lo:lo + chunk]
+            k = len(part)
+            for i, x in enumerate(part):
+                jacobians[i] = _eval_jacobian(problem, x)
+            stack = np.matmul(problem.slope, jacobians[:k], out=defects[:k])
+            stack -= shift
+            worst = max(worst, float(np.max(matrix_norms(stack, problem.norm))))
         running = max(running, worst)
         knots.append((radius, running))
     return TabulatedOmega(tuple(knots))
 
 
 def default_radii(R, num=DEFAULT_NUM_RADII):
+    if num < 1:
+        raise BadParameters(f"number of radii must be >= 1, got {num}")
     return list(np.linspace(R / num, R, num))
 
 
@@ -389,6 +398,16 @@ def eta_at_start(problem):
     return vector_norm(problem.slope @ _eval_f(problem, problem.x0), problem.norm)
 
 
+def _contraction_at_start(problem):
+    """nu_at_start, refused unless it is below 1."""
+    nu = nu_at_start(problem)
+    if nu >= 1.0:
+        raise NuNotContractive(
+            f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0"
+        )
+    return nu
+
+
 def estimate_majorant(problem, mode=MODE_CENTERED, radii=None, samples_per_radius=64, seed=0):
     """Tabulated majorant model with the tight first-step bound.
 
@@ -396,18 +415,12 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None, samples_per_radiu
     is the centered estimate shifted up by nu = ||B F'(x0) - I||, which
     dominates the direct estimate pointwise by the triangle inequality.
     """
-    eta = vector_norm(problem.slope @ _eval_f(problem, problem.x0), problem.norm)
+    eta = eta_at_start(problem)
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
-        eye = np.eye(problem.dim)
-        nu = matrix_norm(problem.slope @ _eval_jacobian(problem, problem.x0) - eye,
-                         problem.norm)
-        if nu >= 1.0:
-            raise NuNotContractive(
-                f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0"
-            )
+        nu = _contraction_at_start(problem)
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))
     return MajorantModel(eta=eta, R=problem.R, omega=omega)
 
@@ -475,9 +488,10 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
         limits.append(sol)
 
     max_dist = 0.0
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            max_dist = max(max_dist, vn(limits[i] - limits[j]))
+    stacked = np.array(limits)
+    for i in range(len(limits) - 1):
+        rest = vector_norms(stacked[i + 1:] - stacked[i], problem.norm)
+        max_dist = max(max_dist, float(np.max(rest)))
     return UniquenessReport(
         passed=not failures and max_dist <= tol,
         max_pairwise_distance=max_dist,

@@ -122,6 +122,15 @@ class TestSolve:
         a.pop("trace_path"), b.pop("trace_path")
         assert a == b
 
+    @pytest.mark.parametrize("radii", ["0", "-3"])
+    def test_solve_without_radii_runs_uncertified(self, tmp_path, monkeypatch, radii):
+        code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", "--measure",
+                                           "centered", "--radii", radii])
+        assert code == 0
+        doc = json.loads((tmp_path / "solve_report.json").read_text())
+        note = f"unobtainable: number of radii must be >= 1, got {radii}"
+        assert doc["certificate"] == note
+
 
 class TestCompare:
     def test_document(self, tmp_path, monkeypatch):
@@ -172,6 +181,17 @@ class TestEstimateOmega:
         assert code == 0
         lines = (tmp_path / "om.csv").read_text().splitlines()
         assert float(lines[1].split(",")[1]) == 0.0  # centered knot at 0
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "chandrasekhar", "--measure", "centered"],
+        ["estimate-omega", "chandrasekhar"],
+    ])
+    @pytest.mark.parametrize("radii", ["0", "-3"])
+    def test_radii_count_below_one_exit_2(self, tmp_path, monkeypatch, capsys,
+                                          command, radii):
+        code = run(tmp_path, monkeypatch, command + ["--radii", radii])
+        assert code == 2
+        assert "number of radii must be >= 1" in capsys.readouterr().err
 
     def test_non_contractive_exit_3(self, tmp_path, monkeypatch):
         # nu = 1 at the start: direct estimation is a runtime refusal

@@ -14,10 +14,12 @@ from fixedslope.errors import (
     NuNotContractive,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel
+from fixedslope.norms import matrix_norm, vector_norm
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
     Problem,
     StoppingRule,
+    _sphere_points,
     estimate_majorant,
     estimate_omega,
     fsi_solve,
@@ -245,6 +247,34 @@ class TestEstimateOmega:
                 assert w <= exact * (1.0 + 1e-9)  # lower envelope
                 assert w >= exact * 0.98, f"{name} at radius {r}"
 
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_batched_stacks_match_per_point_loop(self, norm, mode):
+        # n = 19 puts 8192 // 19**2 = 22 Jacobians in a stack, which divides
+        # neither the 40 samples per radius nor the 38 signed axis directions.
+        problem = build_fixture("chandrasekhar", n=19, norm=norm).problem
+        radii = [problem.R / 3.0, 2.0 * problem.R / 3.0, problem.R]
+        om = estimate_omega(problem, mode, radii=radii, samples_per_radius=40, seed=5)
+
+        eye = np.eye(problem.dim)
+        bj0 = problem.slope @ problem.jacobian(problem.x0)
+        shift = eye if mode == "direct" else bj0
+        running = matrix_norm(bj0 - eye, norm) if mode == "direct" else 0.0
+        expected = [(0.0, running)]
+        rng = np.random.default_rng(5)
+        for r in radii:
+            points = _sphere_points(problem, r, 40, rng)
+            assert len(points) % 22 != 0
+            worst = max(matrix_norm(problem.slope @ problem.jacobian(x) - shift, norm)
+                        for x in points)
+            running = max(running, worst)
+            expected.append((r, running))
+
+        if norm == "two":
+            assert np.allclose(om.knots, expected, rtol=0.0, atol=1e-12)
+        else:
+            assert om.knots == tuple(expected)
+
 
 class TestEstimateMajorant:
     def test_centered_mode_shifts_by_nu(self):
@@ -287,6 +317,20 @@ class TestUniquenessProbe:
         assert report.passed
         for lim in report.limits:
             assert abs(lim[0] - SQRT2) <= 1e-8
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_max_pairwise_distance_matches_pair_loop(self, norm):
+        # loose stopping keeps the limits apart, so the distances are not all 0
+        fx = build_fixture("poly2d", norm=norm)
+        cert = certify(analytic_model(fx))
+        stop = StoppingRule(tol_step=1e-4, tol_residual=1e-4)
+        report = uniqueness_probe(fx.problem, cert, num_starts=30, seed=2, tol=1.0,
+                                  stop=stop)
+        limits = report.limits
+        expected = max(vector_norm(a - b, norm)
+                       for i, a in enumerate(limits) for b in limits[i + 1:])
+        assert expected > 0.0
+        assert report.max_pairwise_distance == expected
 
     def test_needs_certified(self):
         from fixedslope.errors import NotCertifiedError
