@@ -18,6 +18,7 @@ with equality at eta = eta_max, the double-root (tangency) case.  At
 alpha = 1, nu = 0 this is the centered Kantorovich condition 2*l0*eta <= 1.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,12 +49,7 @@ class HoelderParams:
     eta: float
 
     def __post_init__(self):
-        if not (self.l0 >= 0.0 and math.isfinite(self.l0)):
-            raise ValueError(f"l0 must be finite and >= 0, got {self.l0}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.nu < 1.0):
-            raise ValueError(f"nu must be in [0, 1), got {self.nu}")
+        self.omega()  # validates l0, alpha and nu
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
@@ -88,24 +84,22 @@ class ConvergenceCertificate:
         return self.status == STATUS_CERTIFIED
 
 
+def _holder_rhs(alpha, nu):
+    """Right-hand side (1 - nu)^(alpha + 1) (alpha / (1 + alpha))^alpha of the condition."""
+    return (1.0 - nu) ** (alpha + 1.0) * (alpha / (1.0 + alpha)) ** alpha
+
+
 def check_holder_condition(p):
     """Closed-form certification test for Hoelder measures (inclusive)."""
-    rhs = (1.0 - p.nu) ** (p.alpha + 1.0) * (p.alpha / (1.0 + p.alpha)) ** p.alpha
-    return p.l0 * p.eta ** p.alpha <= rhs
+    return p.l0 * p.eta ** p.alpha <= _holder_rhs(p.alpha, p.nu)
 
 
 def holder_eta_max(l0, alpha, nu):
     """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant)."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not (0.0 <= nu < 1.0):
-        raise ValueError(f"nu must be in [0, 1), got {nu}")
-    if l0 < 0.0:
-        raise ValueError(f"l0 must be >= 0, got {l0}")
+    HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
     if l0 == 0.0:
         return math.inf
-    rhs = (1.0 - nu) ** (alpha + 1.0) * (alpha / (1.0 + alpha)) ** alpha
-    return (rhs / l0) ** (1.0 / alpha)
+    return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
 
 
 def _holder_roots_unclipped(p, tol):
@@ -121,13 +115,13 @@ def _holder_roots_unclipped(p, tol):
         sq = math.sqrt(max(disc, 0.0))
         return ((1.0 - p.nu) - sq) / p.l0, ((1.0 - p.nu) + sq) / p.l0
     r_bar = p.omega().radius_where_one()
-    ns = majorant.minimal_root(p.model(r_bar), tol)
     # Widen until g turns positive again; g grows superlinearly so this ends.
+    # The widened model keeps gamma_star = r_bar, so nu_star is unchanged.
     hi = 2.0 * r_bar
     while majorant.g(p.model(hi), hi) <= 0.0:
         hi *= 2.0
-    nss = majorant.maximal_root(p.model(hi), tol)
-    return ns, nss
+    roots = majorant.analyze(p.model(hi), tol).require_root("nothing to bracket")
+    return roots.nu_star, roots.nu_star_star
 
 
 def holder_roots(p, R, tol=ROOT_TOL):
@@ -144,13 +138,14 @@ def holder_roots(p, R, tol=ROOT_TOL):
     return min(ns, R), min(nss, R)
 
 
-def _not_certified(reason, model, nu, gamma, needed=None):
+def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):
+    """A refusal: the inputs and diagnostics are kept, every radius is None."""
     return ConvergenceCertificate(
         status=STATUS_NOT_CERTIFIED,
         reason=reason,
         nu=nu,
-        eta=model.eta,
-        R=model.R,
+        eta=eta,
+        R=R,
         nu_star=None,
         nu_star_star=None,
         gamma_star=gamma,
@@ -173,33 +168,28 @@ def certify(model, tol=ROOT_TOL):
     """
     nu = majorant.nu_of(model)
     if nu >= 1.0:
-        return _not_certified(REASON_NU_TOO_LARGE, model, nu, gamma=None)
-    gam = majorant.gamma_star(model)
-    ns = majorant.minimal_root(model, tol)
-    if ns is None:
+        return not_certified(REASON_NU_TOO_LARGE, nu, model.eta, model.R, model=model)
+    roots = majorant.analyze(model, tol)
+    if roots.nu_star is None:
         reason, needed = REASON_CONSTRAINT_A, None
         if isinstance(model.omega, HoelderOmega):
             p = HoelderParams(model.omega.l0, model.omega.alpha, nu, model.eta)
             if check_holder_condition(p):
                 needed = _holder_roots_unclipped(p, tol)[0]
                 reason = REASON_RADIUS_TOO_SMALL
-        return _not_certified(reason, model, nu, gamma=gam, needed=needed)
-    nss = majorant.maximal_root(model, tol)
-    lam, case = majorant.lambda_star(model, tol)
-    preview = [0.0]
-    for _ in range(PREVIEW_TERMS - 1):
-        preview.append(max(majorant.phi(model, preview[-1]), preview[-1]))
+        return not_certified(reason, nu, model.eta, model.R, roots.gamma_star, needed, model)
+    preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)
     return ConvergenceCertificate(
         status=STATUS_CERTIFIED,
         reason=None,
         nu=nu,
         eta=model.eta,
         R=model.R,
-        nu_star=ns,
-        nu_star_star=nss,
-        gamma_star=gam,
-        lambda_star=lam,
-        uniqueness_boundary=BOUNDARY_CLOSED if case == "B1" else BOUNDARY_OPEN,
+        nu_star=roots.nu_star,
+        nu_star_star=roots.nu_star_star,
+        gamma_star=roots.gamma_star,
+        lambda_star=roots.lambda_star,
+        uniqueness_boundary=BOUNDARY_CLOSED if roots.case == "B1" else BOUNDARY_OPEN,
         scalar_sequence_preview=tuple(preview),
         model=model,
     )

@@ -13,10 +13,18 @@ evaluation failure.
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import MISSING, fields
 
 from . import __version__, majorant
-from .certificate import ConvergenceCertificate, HoelderParams, certify
+from .certificate import (
+    REASON_NU_TOO_LARGE,
+    ConvergenceCertificate,
+    HoelderParams,
+    certify,
+    not_certified,
+)
 from .comparison import compare_report
 from .errors import (
     BadParameters,
@@ -50,10 +58,13 @@ DEFAULT_SEED = 0
 
 
 def _fmt(x):
-    """Shortest round-trip decimal for floats; None becomes null downstream."""
-    if x is None:
-        return None
-    return float(x)
+    """JSON value: numbers as floats (infinite ones as "unbounded"), tuples as lists."""
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, tuple):
+        return [_fmt(v) for v in x]
+    x = float(x)
+    return "unbounded" if math.isinf(x) else x
 
 
 def _write_json(doc, path):
@@ -67,43 +78,35 @@ def _write_lines(lines, path):
         fh.write("\n".join(lines) + "\n")
 
 
+# Document keys that differ from the field names of the result dataclasses.
+_DOC_KEYS = {"scalar_sequence_preview": "scalar_sequence"}
+
+
+def _doc_fields(cls):
+    """(field, document key) pairs in declaration order; the model is never written."""
+    return [(f, _DOC_KEYS.get(f.name, f.name)) for f in fields(cls) if f.name != "model"]
+
+
+def _to_doc(kind, record):
+    doc = {"schema": SCHEMA_VERSION, "kind": kind}
+    for f, key in _doc_fields(type(record)):
+        doc[key] = _fmt(getattr(record, f.name))
+    return doc
+
+
 def certificate_to_doc(cert):
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "certificate",
-        "status": cert.status,
-        "reason": cert.reason,
-        "nu": _fmt(cert.nu),
-        "eta": _fmt(cert.eta),
-        "R": _fmt(cert.R),
-        "nu_star": _fmt(cert.nu_star),
-        "nu_star_star": _fmt(cert.nu_star_star),
-        "gamma_star": _fmt(cert.gamma_star),
-        "lambda_star": _fmt(cert.lambda_star),
-        "uniqueness_boundary": cert.uniqueness_boundary,
-        "scalar_sequence": [_fmt(v) for v in cert.scalar_sequence_preview],
-        "nu_star_needed": _fmt(cert.nu_star_needed),
-    }
+    return _to_doc("certificate", cert)
 
 
 def read_certificate(path):
     """Re-read an emitted certificate document (values only, no model)."""
     with open(path) as fh:
         doc = json.load(fh)
-    return ConvergenceCertificate(
-        status=doc["status"],
-        reason=doc["reason"],
-        nu=doc["nu"],
-        eta=doc["eta"],
-        R=doc["R"],
-        nu_star=doc["nu_star"],
-        nu_star_star=doc["nu_star_star"],
-        gamma_star=doc["gamma_star"],
-        lambda_star=doc["lambda_star"],
-        uniqueness_boundary=doc["uniqueness_boundary"],
-        scalar_sequence_preview=tuple(doc["scalar_sequence"]),
-        nu_star_needed=doc.get("nu_star_needed"),
-    )
+    values = {}
+    for f, key in _doc_fields(ConvergenceCertificate):
+        value = doc[key] if f.default is MISSING else doc.get(key, f.default)
+        values[f.name] = tuple(value) if isinstance(value, list) else value
+    return ConvergenceCertificate(**values)
 
 
 def trace_to_csv_lines(trace):
@@ -187,19 +190,9 @@ def _cmd_certify(args):
         model = _obtain_model(fixture, args)
     except NuNotContractive:
         # Not certifiable at radius 0; still emit the diagnostic document.
-        cert = ConvergenceCertificate(
-            status="not_certified",
-            reason="nu_too_large",
-            nu=nu_at_start(fixture.problem),
-            eta=eta_at_start(fixture.problem),
-            R=fixture.problem.R,
-            nu_star=None,
-            nu_star_star=None,
-            gamma_star=None,
-            lambda_star=None,
-            uniqueness_boundary=None,
-            scalar_sequence_preview=(),
-        )
+        problem = fixture.problem
+        cert = not_certified(REASON_NU_TOO_LARGE, nu_at_start(problem),
+                             eta_at_start(problem), problem.R)
         _write_json(certificate_to_doc(cert), args.out)
         print(f"not certified ({cert.reason}: nu={cert.nu!r}) -> {args.out}")
         return EXIT_NOT_CERTIFIED
@@ -309,31 +302,7 @@ def _cmd_compare(args):
     if params:
         raise BadParameters(f"unknown compare parameters: {sorted(params)}")
     rep = compare_report(p, R, args.root_tol, delta)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "comparison",
-        "l0": _fmt(rep.l0),
-        "alpha": _fmt(rep.alpha),
-        "nu": _fmt(rep.nu),
-        "delta": _fmt(rep.delta),
-        "eta": _fmt(rep.eta),
-        "R": _fmt(rep.R),
-        "new_holds": rep.new_holds,
-        "new_eta_max": _fmt(rep.new_eta_max) if rep.new_eta_max != float("inf") else "unbounded",
-        "ahues_holds": rep.ahues_holds,
-        "ahues_eta_max": _fmt(rep.ahues_eta_max) if rep.ahues_eta_max != float("inf") else "unbounded",
-        "kantorovich_holds": rep.kantorovich_holds,
-        "nu_star": _fmt(rep.nu_star),
-        "nu_star_star": _fmt(rep.nu_star_star),
-        "lambda_star": _fmt(rep.lambda_star),
-        "r_star": _fmt(rep.r_star),
-        "r_star_star": _fmt(rep.r_star_star),
-        "eta_max_ratio": _fmt(rep.eta_max_ratio),
-        "containment_holds": rep.containment_holds,
-        "order_stated": rep.order_stated,
-        "order_computed": rep.order_computed,
-    }
-    _write_json(doc, args.out)
+    _write_json(_to_doc("comparison", rep), args.out)
     print(_format_compare_table(rep))
     print(f"-> {args.out}")
     return EXIT_OK

@@ -113,13 +113,10 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
 
     ns = nss = lam = None
     if new_holds:
-        model = p.model(R)
-        ns = majorant.minimal_root(model, tol)
+        roots = majorant.analyze(p.model(R), tol)
+        ns, lam = roots.nu_star, roots.lambda_star
         if ns is not None:
-            nss = majorant.maximal_root(model, tol)
-            if nss is None:
-                nss = R
-            lam = majorant.lambda_star(model, tol)[0]
+            nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
         try:

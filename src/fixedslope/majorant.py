@@ -19,10 +19,13 @@ endpoint signs are known:
 
 A minimal root exists iff g(gamma_star) <= 0; when that minimum sits on
 zero the two roots merge (double root) and the bisection bracket
-degenerates, so the root is read off at gamma_star directly.
+degenerates, so the root is read off at gamma_star directly.  analyze()
+computes all three radii in one pass; majorizing_terms() is the one
+generator of the majorizing sequence v_{k+1} = phi(v_k).
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -229,60 +232,107 @@ def _bisect_boundary(fun, lo, hi, lo_positive):
     return 0.5 * (lo + hi)
 
 
-def minimal_root(model, tol=ROOT_TOL):
-    """Minimal root nu_star of g on [0, R], or None when g has no root.
+@dataclass(frozen=True)
+class RootAnalysis:
+    """All radii of one majorant model.
 
-    g is strictly decreasing on [0, gamma_star], so a root exists iff
-    g(gamma_star) <= 0 and the minimal one lies in that interval.  A
-    minimum within tol*max(1, eta) of zero is a double root and is
-    returned as gamma_star itself (bisection cannot resolve it better).
+    nu_star is None when g has no root, and then so are the others;
+    nu_star_star is None when the maximal root lies beyond R; case is
+    "B1" (closed uniqueness ball) or "B2" (open ball).
     """
+
+    gamma_star: float
+    nu_star: float | None
+    nu_star_star: float | None
+    lambda_star: float | None
+    case: str | None
+
+    def require_root(self, purpose):
+        """This analysis, or NotCertifiedError when g has no root."""
+        if self.nu_star is None:
+            raise NotCertifiedError(f"majorant has no root: {purpose}")
+        return self
+
+
+def _left_bracket(model, tol):
+    """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"root tolerance must be finite and >= 0, got {tol}")
     gam = gamma_star(model)
     stol = tol * max(1.0, model.eta)
     g_gam = g(model, gam)
     if g_gam > stol:
-        return None
-    if g_gam >= -stol:
-        return gam
-    return _bisect_boundary(lambda v: g(model, v), 0.0, gam, lo_positive=True)
+        ns = None
+    elif g_gam >= -stol:
+        ns = gam
+    else:
+        ns = _bisect_boundary(lambda v: g(model, v), 0.0, gam, lo_positive=True)
+    return gam, stol, g_gam, ns
+
+
+def minimal_root(model, tol=ROOT_TOL):
+    """Minimal root nu_star of g on [0, R], or None when g has no root.
+
+    A minimum g(gamma_star) within tol*max(1, eta) of zero is a double
+    root and is returned as gamma_star itself (bisection cannot resolve
+    it better).  Raises ValueError for a negative or non-finite tol.
+    """
+    return _left_bracket(model, tol)[3]
+
+
+def analyze(model, tol=ROOT_TOL):
+    """RootAnalysis of g from one g(gamma_star) and at most two bisections.
+
+    The interval past nu_star where g < 0 decides the uniqueness radius:
+    if it is empty (g(gamma_star) within the merge band) the radius is
+    nu_star with a closed ball; if it runs into R with g(R) < 0 the radius
+    is R, still closed since phi(R) < R; otherwise it ends at the maximal
+    root, where phi is a fixed point and only the open ball is claimed.
+    """
+    gam, stol, g_gam, ns = _left_bracket(model, tol)
+    if ns is None:
+        return RootAnalysis(gam, None, None, None, None)
+    if abs(g_gam) <= stol:
+        nss = ns  # double root
+    else:
+        g_r = g(model, model.R)
+        if g_r < -stol:
+            nss = None
+        elif g_r <= stol:
+            nss = model.R
+        else:
+            nss = _bisect_boundary(lambda v: g(model, v), gam, model.R, lo_positive=False)
+    band = max(10.0 * tol * max(1.0, model.eta), _MERGE_BAND_REL * model.eta)
+    if g_gam >= -band:
+        lam, case = ns, "B1"
+    elif nss is None:
+        lam, case = model.R, "B1"
+    else:
+        lam, case = nss, "B2"
+    return RootAnalysis(gam, ns, nss, lam, case)
 
 
 def maximal_root(model, tol=ROOT_TOL):
     """Maximal root of g on [nu_star, R]; None when the root lies beyond R."""
-    ns = minimal_root(model, tol)
-    if ns is None:
-        raise NotCertifiedError("majorant has no root: nothing to bracket")
-    gam = gamma_star(model)
-    stol = tol * max(1.0, model.eta)
-    if abs(g(model, gam)) <= stol:
-        return ns  # double root
-    g_r = g(model, model.R)
-    if g_r < -stol:
-        return None
-    if g_r <= stol:
-        return model.R
-    return _bisect_boundary(lambda v: g(model, v), gam, model.R, lo_positive=False)
+    return analyze(model, tol).require_root("nothing to bracket").nu_star_star
 
 
 def lambda_star(model, tol=ROOT_TOL):
-    """Uniqueness radius and its boundary case ("B1" closed, "B2" open).
+    """Uniqueness radius and its boundary case ("B1" closed, "B2" open)."""
+    roots = analyze(model, tol).require_root("no uniqueness radius")
+    return roots.lambda_star, roots.case
 
-    The interval past nu_star where g < 0 decides the case: if it is
-    empty (double root) the radius is nu_star with a closed ball; if it
-    runs into R with g(R) < 0 the radius is R, still closed since
-    phi(R) < R; otherwise it ends at the maximal root, where phi is a
-    fixed point and only the open ball is claimed.
+
+def majorizing_terms(model):
+    """Endless majorizing sequence v_0 = 0, v_{k+1} = phi(v_k).
+
+    Each term is kept at least as large as the one before, so rounding
+    near the fixed point cannot make the sequence decrease.
     """
-    ns = minimal_root(model, tol)
-    if ns is None:
-        raise NotCertifiedError("majorant has no root: no uniqueness radius")
-    band = max(10.0 * tol * max(1.0, model.eta), _MERGE_BAND_REL * model.eta)
-    if g(model, gamma_star(model)) >= -band:
-        return ns, "B1"
-    nss = maximal_root(model, tol)
-    if nss is None:
-        return model.R, "B1"
-    return nss, "B2"
+    v = 0.0
+    while True:
+        yield v
+        v = max(phi(model, v), v)
 
 
 def scalar_sequence(model, tol=ROOT_TOL, max_iter=10000):
@@ -295,11 +345,9 @@ def scalar_sequence(model, tol=ROOT_TOL, max_iter=10000):
     if minimal_root(model, tol) is None:
         raise NotCertifiedError("majorant has no root: sequence does not converge")
     seq = [0.0]
-    for _ in range(max_iter):
-        nxt = max(phi(model, seq[-1]), seq[-1])
-        step = nxt - seq[-1]
+    for nxt in itertools.islice(majorizing_terms(model), 1, max_iter + 1):
         seq.append(nxt)
-        if step <= tol:
+        if nxt - seq[-2] <= tol:
             break
     return seq
 

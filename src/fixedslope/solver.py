@@ -13,6 +13,7 @@ iterate trying to leave it is a model violation and stops the run with a
 distinguished reason instead of an exception.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -167,15 +168,6 @@ def fsi_step(problem, x):
     return x - problem.slope @ _eval_f(problem, x)
 
 
-def _extended_sequence(cert, length):
-    """First `length` majorizing terms, continuing past the stored preview."""
-    seq = list(cert.scalar_sequence_preview[:length])
-    if cert.model is not None:
-        while len(seq) < length:
-            seq.append(max(majorant.phi(cert.model, seq[-1]), seq[-1]))
-    return seq
-
-
 def fsi_solve(problem, stop=None, cert=None):
     """Run the iteration; returns (solution, trace).
 
@@ -225,7 +217,10 @@ def fsi_solve(problem, stop=None, cert=None):
         norm=problem.norm,
     )
     if cert is not None and step_norms:
-        seq = _extended_sequence(cert, len(step_norms) + 1)
+        # A certificate read back from a document has no model: pair the preview.
+        terms = (cert.scalar_sequence_preview if cert.model is None
+                 else majorant.majorizing_terms(cert.model))
+        seq = list(itertools.islice(terms, len(step_norms) + 1))
         pairs = min(len(seq) - 1, len(step_norms))
         trace.scalar_steps = [seq[k + 1] - seq[k] for k in range(pairs)]
         trace.bound_slacks = [
@@ -269,9 +264,7 @@ def verify_majorization(trace, model, slack_tol=1e-9):
     if ns is None:
         raise CertificateMissing("model has no majorant root, nothing to verify")
 
-    seq = [0.0]
-    for _ in range(trace.num_steps):
-        seq.append(max(majorant.phi(model, seq[-1]), seq[-1]))
+    seq = list(itertools.islice(majorant.majorizing_terms(model), trace.num_steps + 1))
     step_slacks = [
         (seq[k + 1] - seq[k]) - trace.step_norms[k] for k in range(trace.num_steps)
     ]
@@ -418,9 +411,10 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None, samples_per_radiu
     eta = eta_at_start(problem)
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
+    if mode == MODE_CENTERED:
+        nu = _contraction_at_start(problem)  # refuse before sampling
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
-        nu = _contraction_at_start(problem)
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))
     return MajorantModel(eta=eta, R=problem.R, omega=omega)
 

@@ -79,6 +79,15 @@ class TestHolderForms:
         assert holder_eta_max(1.0, 1.0, 0.5) == pytest.approx(0.125, abs=1e-15)
         assert holder_eta_max(0.0, 1.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("l0, alpha, nu", [
+        (-1.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+        (1.0, 0.0, 0.0), (1.0, 1.5, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.1),
+    ])
+    def test_one_validation_of_hoelder_data(self, l0, alpha, nu):
+        for build in (HoelderOmega, holder_eta_max, lambda *a: HoelderParams(*a, 0.5)):
+            with pytest.raises(ValueError):
+                build(l0, alpha, nu)
+
     def test_check_condition(self):
         assert check_holder_condition(HoelderParams(1.0, 1.0, 0.0, 0.5))  # equality
         assert not check_holder_condition(HoelderParams(1.0, 1.0, 0.0, 0.5001))

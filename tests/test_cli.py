@@ -2,10 +2,16 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from fixedslope.cli import main, read_certificate
+from fixedslope.certificate import REASON_NU_TOO_LARGE, certify, not_certified
+from fixedslope.cli import certificate_to_doc, main, read_certificate
+from fixedslope.comparison import ConditionReport
+from fixedslope.majorant import HoelderOmega, MajorantModel
+from fixedslope.problems import build_fixture
+from fixedslope.solver import eta_at_start, nu_at_start
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,6 +59,26 @@ class TestCertify:
         assert cert.nu_star == direct.nu_star
         assert cert.lambda_star == direct.lambda_star
         assert cert.scalar_sequence_preview == direct.scalar_sequence_preview
+
+    def test_refusals_round_trip_every_field(self, tmp_path):
+        needed = certify(MajorantModel(eta=0.5, R=0.3, omega=HoelderOmega(0.5, 1.0)))
+        assert needed.nu_star_needed is not None
+        problem = build_fixture("scalar_quadratic", b=0.5).problem
+        estimated = not_certified(REASON_NU_TOO_LARGE, nu_at_start(problem),
+                                  eta_at_start(problem), problem.R)
+        for cert in (needed, estimated):
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(certificate_to_doc(cert)))
+            back = read_certificate(path)
+            for f in fields(cert):
+                if f.name != "model":
+                    assert getattr(back, f.name) == getattr(cert, f.name), f.name
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_root_tolerance_exit_2(self, tmp_path, monkeypatch, tol):
+        code = run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", f"--root-tol={tol}"])
+        assert code == 2
+        assert not (tmp_path / "certificate.json").exists()
 
     def test_estimated_measure_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch,
@@ -142,6 +168,20 @@ class TestCompare:
         assert doc["ahues_holds"] is False
         assert doc["kantorovich_holds"] is True
         assert doc["eta_max_ratio"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_document_keys_follow_the_report_fields(self, tmp_path, monkeypatch):
+        run(tmp_path, monkeypatch, ["compare", "l0=1", "alpha=0.5", "eta=0.05"])
+        doc = json.loads((tmp_path / "comparison.json").read_text())
+        keys = list(doc)
+        assert keys[:2] == ["schema", "kind"]
+        assert keys[2:] == [f.name for f in fields(ConditionReport)]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_root_tolerance_exit_2(self, tmp_path, monkeypatch, tol):
+        code = run(tmp_path, monkeypatch,
+                   ["compare", "l0=1", "eta=0.3", f"--root-tol={tol}"])
+        assert code == 2
+        assert not (tmp_path / "comparison.json").exists()
 
     def test_table_output(self, tmp_path, monkeypatch, capsys):
         run(tmp_path, monkeypatch,

@@ -13,11 +13,14 @@ from fixedslope.errors import NotCertifiedError, NuNotContractive, RadiusOutOfRa
 from fixedslope.majorant import (
     HoelderOmega,
     MajorantModel,
+    RootAnalysis,
     TabulatedOmega,
+    analyze,
     eval_omega,
     g,
     gamma_star,
     lambda_star,
+    majorizing_terms,
     maximal_root,
     minimal_root,
     phi,
@@ -173,6 +176,28 @@ class TestRoots:
         with pytest.raises(NotCertifiedError):
             maximal_root(quad_model(eta=1.0, l0=1.0))
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        for fn in (minimal_root, analyze, maximal_root, lambda_star, scalar_sequence):
+            with pytest.raises(ValueError):
+                fn(quad_model(), tol)
+
+    def test_analyze_one_pass(self):
+        assert analyze(quad_model()) == RootAnalysis(
+            2.0, minimal_root(quad_model()), pytest.approx(2.0 + SQRT2, abs=1e-10),
+            pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
+        assert analyze(quad_model(eta=1.0, l0=1.0)) == RootAnalysis(1.0, None, None, None, None)
+
+    def test_analyze_merge_band_keeps_both_bisected_roots(self):
+        # -band <= g(gamma_star) < -stol: both roots are bisected, yet the
+        # minimum is too close to zero to claim the open ball past nu_star.
+        m = quad_model(eta=0.5 - 2e-10, l0=1.0)  # g(gamma_star) = -2e-10
+        stol = 1e-12
+        assert -1e-9 * m.eta <= g(m, gamma_star(m)) < -stol
+        roots = analyze(m)
+        assert roots.nu_star < roots.gamma_star < roots.nu_star_star
+        assert (roots.lambda_star, roots.case) == (roots.nu_star, "B1")
+
     def test_lambda_star_cases(self):
         assert lambda_star(quad_model()) == (pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
         lam, case = lambda_star(quad_model(l0=1.0))
@@ -206,6 +231,13 @@ class TestScalarSequence:
     def test_uncertifiable_raises(self):
         with pytest.raises(NotCertifiedError):
             scalar_sequence(quad_model(eta=1.0, l0=1.0))
+
+    def test_majorizing_terms_prefix(self):
+        m = quad_model()
+        terms = majorizing_terms(m)
+        assert [next(terms) for _ in range(3)] == [0.0, 0.5, 0.5625]
+        seq = scalar_sequence(m)
+        assert [next(terms) for _ in range(len(seq) - 3)] == seq[3:]
 
 
 class TestProperties:

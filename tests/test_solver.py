@@ -13,7 +13,7 @@ from fixedslope.errors import (
     JacobianMissing,
     NuNotContractive,
 )
-from fixedslope.majorant import HoelderOmega, MajorantModel
+from fixedslope.majorant import HoelderOmega, MajorantModel, scalar_sequence
 from fixedslope.norms import matrix_norm, vector_norm
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
@@ -99,6 +99,15 @@ class TestFsiSolve:
         _, trace = fsi_solve(fx.problem, cert=cert)
         assert trace.num_steps > 16
         assert len(trace.scalar_steps) == trace.num_steps
+
+    def test_trace_and_verification_share_one_sequence(self):
+        fx = build_fixture("scalar_quadratic", b=0.05)
+        cert = certify(analytic_model(fx))
+        _, trace = fsi_solve(fx.problem, cert=cert)
+        assert trace.num_steps > 16
+        assert trace.bound_slacks == verify_majorization(trace, cert.model).step_slacks
+        preview = cert.scalar_sequence_preview
+        assert tuple(scalar_sequence(cert.model)[:len(preview)]) == preview
 
     def test_max_iter_stop(self):
         fx = build_fixture("scalar_quadratic")
@@ -283,6 +292,20 @@ class TestEstimateMajorant:
         assert m.eta == pytest.approx(fx.analytic.eta, abs=1e-12)
         assert m.omega.value(0.0) <= 1e-12  # nu is ~0 for the exact inverse slope
         assert m.R == fx.problem.R
+
+    def test_centered_mode_refuses_before_sampling(self):
+        problem = quad_problem(b=0.5)  # x0 = 2: nu = |2 b x0 - 1| = 1
+        calls = []
+
+        def jacobian(x):
+            calls.append(x)
+            return problem.jacobian(x)
+
+        counted = Problem(f=problem.f, slope=problem.slope, x0=problem.x0,
+                          R=problem.R, jacobian=jacobian)
+        with pytest.raises(NuNotContractive):
+            estimate_majorant(counted, mode="centered")
+        assert len(calls) <= 2
 
     def test_solved_start_rejected(self):
         # c = x0^2 exactly in floats, so F(x0) = 0 and eta = 0
