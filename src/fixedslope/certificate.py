@@ -165,7 +165,9 @@ def certify(model, tol=ROOT_TOL):
     the radius that would be needed); constraint_a_fails when the majorant
     never dips below the identity; otherwise a certified bundle with the
     radii, boundary type and the first PREVIEW_TERMS majorizing terms.
+    Raises ValueError for a negative or non-finite tol.
     """
+    majorant._check_root_tol(tol)
     nu = majorant.nu_of(model)
     if nu >= 1.0:
         return not_certified(REASON_NU_TOO_LARGE, nu, model.eta, model.R, model=model)

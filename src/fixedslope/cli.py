@@ -185,6 +185,7 @@ def _obtain_model(fixture, args):
 
 
 def _cmd_certify(args):
+    majorant._check_root_tol(args.root_tol)  # a refusal at x0 never reaches certify
     fixture = _load_fixture(args)
     try:
         model = _obtain_model(fixture, args)
@@ -209,6 +210,7 @@ def _cmd_certify(args):
 
 
 def _cmd_solve(args):
+    majorant._check_root_tol(args.root_tol)
     fixture = _load_fixture(args)
     cert = None
     cert_note = "none requested"

@@ -102,7 +102,9 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
     Radii that do not exist (condition fails, or the root lies beyond R
     and is clipped there) are reported as the clipped value or None; the
     containment check runs only when all four roots are strictly inside R.
+    Raises ValueError for a negative or non-finite tol.
     """
+    majorant._check_root_tol(tol)
     d = p.nu if delta is None else delta
     new_holds = check_holder_condition(p)
     new_emax = holder_eta_max(p.l0, p.alpha, p.nu)

@@ -254,10 +254,14 @@ class RootAnalysis:
         return self
 
 
-def _left_bracket(model, tol):
-    """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
+def _check_root_tol(tol):
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"root tolerance must be finite and >= 0, got {tol}")
+
+
+def _left_bracket(model, tol):
+    """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
+    _check_root_tol(tol)
     gam = gamma_star(model)
     stol = tol * max(1.0, model.eta)
     g_gam = g(model, gam)

@@ -5,6 +5,13 @@ B is only ever applied to vectors: no linear solve and no factorization
 happens anywhere in this module, so an ill-conditioned B degrades the
 contraction rate but never the arithmetic.
 
+One private kernel runs the iteration on a stack of starts, each row with
+its own trust ball and its own stop: fsi_solve is its one-row case, and
+uniqueness_probe runs all its starts together as rows, each with trust
+radius rho + lambda_star (rho = the start's distance from x0).  B is
+applied to all live rows with one stacked mat-vec; F is still evaluated
+once per row.
+
 A solve can carry a convergence certificate.  The trace then pairs every
 step with the increment v_{k+1} - v_k of the scalar majorizing sequence
 (which must dominate the step norm) and with the a-priori error bound
@@ -15,7 +22,7 @@ distinguished reason instead of an exception.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +49,8 @@ _CONVERGED = (STOP_STEP_TOL, STOP_RESIDUAL_TOL)
 # Slack granted on ball-containment checks; matches the bound tolerances
 # used when verifying the majorization inequalities.
 _BALL_SLACK = 1e-9
+
+_NON_FINITE = "operator returned non-finite values"
 
 MODE_DIRECT = "direct"
 MODE_CENTERED = "centered"
@@ -131,7 +140,11 @@ class IterationTrace:
         return self.stop_reason in _CONVERGED
 
 
-def _eval_f(problem, x):
+def _call_f(problem, x):
+    """F(x) as an (n,) array; EvaluationFailed if F raises or gives the wrong shape.
+
+    Finiteness is left to the caller, so a block of rows is checked at once.
+    """
     try:
         y = np.asarray(problem.f(x), dtype=float)
     except Exception as exc:
@@ -140,9 +153,33 @@ def _eval_f(problem, x):
         raise EvaluationFailed(
             f"operator returned shape {y.shape}, expected ({problem.dim},)"
         )
-    if not np.all(np.isfinite(y)):
-        raise EvaluationFailed("operator returned non-finite values")
     return y
+
+
+def _eval_f(problem, x):
+    y = _call_f(problem, x)
+    if not np.all(np.isfinite(y)):
+        raise EvaluationFailed(_NON_FINITE)
+    return y
+
+
+def _eval_rows(problem, x):
+    """F at every row of x, and {row: EvaluationFailed} for the rows where it failed.
+
+    A failed row holds zeros; the finiteness check runs once for the block.
+    """
+    r = np.empty_like(x)
+    failed = {}
+    for i, xi in enumerate(x):
+        try:
+            r[i] = _call_f(problem, xi)
+        except EvaluationFailed as exc:
+            failed[i] = exc
+            r[i] = 0.0
+    if not np.isfinite(r).all():
+        for i in np.flatnonzero(~np.isfinite(r).all(axis=-1)):
+            failed[int(i)] = EvaluationFailed(_NON_FINITE)
+    return r, failed
 
 
 def _eval_jacobian(problem, x):
@@ -168,6 +205,77 @@ def fsi_step(problem, x):
     return x - problem.slope @ _eval_f(problem, x)
 
 
+def _iterate(problem, starts, balls, stop, trace=None):
+    """Run x <- x - B F(x) from every row of starts at once.
+
+    Row i keeps to the ball of radius balls[i] around starts[i] and stops
+    on its own, by these rules in this order: residual_tol, max_iter,
+    left_ball (the iterate that would leave is not taken), a failed F
+    evaluation, step_tol.  B is applied to all live rows with one stacked
+    mat-vec, each norm is one batched call per step, and rows are dropped
+    only on steps where some row stops.  Returns (limits, reasons,
+    failures): each row's last iterate, its stop reason, and
+    {row: EvaluationFailed} for the rows whose evaluation failed (their
+    reason stays None).  A trace gets the iterates and norms of row 0,
+    which is meant for a single row.
+    """
+    norm, slope = problem.norm, problem.slope
+    limits = np.empty_like(starts)
+    reasons = [None] * len(starts)
+    failures = {}
+    rows = np.arange(len(starts))
+    x, centers, reach = starts, starts, balls + _BALL_SLACK
+    r, failed = _eval_rows(problem, x)
+    rn = vector_norms(r, norm)
+    sn = np.full(len(starts), np.inf)
+    if trace is not None:
+        trace.iterates.append(x[0])
+        trace.residual_norms.append(float(rn[0]))
+    steps = 0
+    while True:
+        step_done = sn <= stop.tol_step
+        done = step_done | (rn <= stop.tol_residual)
+        if failed or np.count_nonzero(done):
+            for i, exc in failed.items():
+                failures[int(rows[i])] = exc
+                done[i] = False
+            for i in np.flatnonzero(done):
+                reasons[rows[i]] = STOP_STEP_TOL if step_done[i] else STOP_RESIDUAL_TOL
+            limits[rows[done]] = x[done]
+            keep = ~done
+            keep[list(failed)] = False
+            x, r, sn, centers, reach, rows = (
+                a[keep] for a in (x, r, sn, centers, reach, rows))
+            if not rows.size:
+                break
+        if steps >= stop.max_iter:
+            limits[rows] = x
+            for i in rows:
+                reasons[i] = STOP_MAX_ITER
+            break
+        x_next = x - np.matmul(slope, r[..., None])[..., 0]
+        sn = vector_norms(x_next - x, norm)
+        left = vector_norms(x_next - centers, norm) > reach
+        if np.count_nonzero(left):
+            limits[rows[left]] = x[left]
+            for i in rows[left]:
+                reasons[i] = STOP_LEFT_BALL
+            keep = ~left
+            x_next, sn, centers, reach, rows = (
+                a[keep] for a in (x_next, sn, centers, reach, rows))
+            if not rows.size:
+                break
+        x = x_next
+        r, failed = _eval_rows(problem, x)
+        rn = vector_norms(r, norm)
+        steps += 1
+        if trace is not None:
+            trace.iterates.append(x[0])
+            trace.step_norms.append(float(sn[0]))
+            trace.residual_norms.append(float(rn[0]))
+    return limits, reasons, failures
+
+
 def fsi_solve(problem, stop=None, cert=None):
     """Run the iteration; returns (solution, trace).
 
@@ -182,40 +290,14 @@ def fsi_solve(problem, stop=None, cert=None):
             raise ValueError("attached certificate is not certified")
         ball = min(problem.R, cert.nu_star)
 
-    vn = lambda v: vector_norm(v, problem.norm)
-    x = problem.x0
-    r = _eval_f(problem, x)
-    iterates = [x]
-    residual_norms = [vn(r)]
-    step_norms = []
-    while True:
-        if residual_norms[-1] <= stop.tol_residual:
-            reason = STOP_RESIDUAL_TOL
-            break
-        if len(step_norms) >= stop.max_iter:
-            reason = STOP_MAX_ITER
-            break
-        x_next = x - problem.slope @ r
-        sn = vn(x_next - x)
-        if vn(x_next - problem.x0) > ball + _BALL_SLACK:
-            reason = STOP_LEFT_BALL
-            break
-        r = _eval_f(problem, x_next)
-        iterates.append(x_next)
-        residual_norms.append(vn(r))
-        step_norms.append(sn)
-        x = x_next
-        if sn <= stop.tol_step:
-            reason = STOP_STEP_TOL
-            break
-
-    trace = IterationTrace(
-        iterates=iterates,
-        step_norms=step_norms,
-        residual_norms=residual_norms,
-        stop_reason=reason,
-        norm=problem.norm,
-    )
+    trace = IterationTrace(iterates=[], step_norms=[], residual_norms=[],
+                           stop_reason=None, norm=problem.norm)
+    limits, reasons, failures = _iterate(problem, problem.x0[None], np.array([ball]),
+                                         stop, trace)
+    if failures:
+        raise failures[0]
+    x, trace.stop_reason = limits[0], reasons[0]
+    step_norms = trace.step_norms
     if cert is not None and step_norms:
         # A certificate read back from a document has no model: pair the preview.
         terms = (cert.scalar_sequence_preview if cert.model is None
@@ -259,7 +341,7 @@ def verify_majorization(trace, model, slack_tol=1e-9):
         raise ValueError("trace has no steps to verify")
     try:
         ns = majorant.minimal_root(model)
-    except (NuNotContractive, NotCertifiedError) as exc:
+    except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
         raise CertificateMissing("model has no majorant root, nothing to verify")
@@ -435,27 +517,11 @@ class UniquenessReport:
     failures: list
 
 
-def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None):
-    """Re-solve from starts spread over the open uniqueness ball.
-
-    The first start is x0 itself; the rest are sampled uniformly inside
-    radius lambda_star * (1 - 1e-6), strictly inside regardless of the
-    boundary type.  Each sub-solve gets trust radius rho + lambda_star
-    (rho = distance of its start from x0): the certified theory confines
-    its iterates to the lambda_star ball around the original x0, so a
-    trust-ball exit again signals a wrong model and is reported as a
-    per-start failure rather than raised.
-    """
-    if not cert.certified:
-        raise NotCertifiedError("uniqueness probe needs a certified certificate")
-    if cert.lambda_star > problem.R + _BALL_SLACK:
-        raise BadParameters("uniqueness radius exceeds the problem trust radius")
-    if num_starts < 1:
-        raise BadParameters("num_starts must be >= 1")
-
+def _probe_starts(problem, lambda_star, num_starts, seed):
+    """x0, then num_starts - 1 seeded points uniform inside radius lambda_star * (1 - 1e-6)."""
     vn = lambda v: vector_norm(v, problem.norm)
     rng = np.random.default_rng(seed)
-    reach = cert.lambda_star * (1.0 - 1e-6)
+    reach = lambda_star * (1.0 - 1e-6)
     starts = [problem.x0]
     for _ in range(num_starts - 1):
         d = rng.standard_normal(problem.dim)
@@ -465,21 +531,40 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
             nd = vn(d)
         radius = reach * rng.random() ** (1.0 / problem.dim)
         starts.append(problem.x0 + (radius / nd) * d)
+    return np.array(starts)
 
+
+def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None):
+    """Solve from starts spread over the open uniqueness ball, all at once.
+
+    The first start is x0 itself; the rest are sampled uniformly inside
+    radius lambda_star * (1 - 1e-6), strictly inside regardless of the
+    boundary type.  The starts run together as rows of one iteration,
+    each with trust radius rho + lambda_star around itself (rho = its
+    distance from x0): the certified theory confines its iterates to the
+    lambda_star ball around the original x0, so a trust-ball exit again
+    signals a wrong model and is reported as a per-start failure rather
+    than raised, as is a failed evaluation.
+    """
+    if not cert.certified:
+        raise NotCertifiedError("uniqueness probe needs a certified certificate")
+    if cert.lambda_star > problem.R + _BALL_SLACK:
+        raise BadParameters("uniqueness radius exceeds the problem trust radius")
+    if num_starts < 1:
+        raise BadParameters("num_starts must be >= 1")
+
+    starts = _probe_starts(problem, cert.lambda_star, num_starts, seed)
+    balls = vector_norms(starts - problem.x0, problem.norm) + cert.lambda_star
+    ends, reasons, errors = _iterate(problem, starts, balls, stop or StoppingRule())
     limits = []
     failures = []
-    for i, start in enumerate(starts):
-        rho = vn(start - problem.x0)
-        sub = replace(problem, x0=start, R=rho + cert.lambda_star)
-        try:
-            sol, trace = fsi_solve(sub, stop)
-        except EvaluationFailed as exc:
-            failures.append((i, f"evaluation failed: {exc}"))
-            continue
-        if not trace.converged:
-            failures.append((i, f"stopped with {trace.stop_reason}"))
-            continue
-        limits.append(sol)
+    for i, reason in enumerate(reasons):
+        if i in errors:
+            failures.append((i, f"evaluation failed: {errors[i]}"))
+        elif reason not in _CONVERGED:
+            failures.append((i, f"stopped with {reason}"))
+        else:
+            limits.append(ends[i])
 
     max_dist = 0.0
     stacked = np.array(limits)

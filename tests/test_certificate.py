@@ -72,6 +72,14 @@ class TestCertify:
         assert cert.lambda_star == 3.0
         assert cert.uniqueness_boundary == BOUNDARY_CLOSED
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected_without_bisection(self, tol):
+        nu_too_large = MajorantModel(eta=0.5, R=1.0,
+                                     omega=TabulatedOmega(((0.0, 1.2), (1.0, 1.3))))
+        for m in (nu_too_large, model(eta=1.0, l0=1.0)):
+            with pytest.raises(ValueError):
+                certify(m, tol)
+
 
 class TestHolderForms:
     def test_eta_max_values(self):

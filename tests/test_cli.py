@@ -80,6 +80,13 @@ class TestCertify:
         assert code == 2
         assert not (tmp_path / "certificate.json").exists()
 
+    def test_bad_root_tolerance_exit_2_when_refused_at_x0(self, tmp_path, monkeypatch):
+        # nu = |2 b x0 - 1| = 2: the refusal comes before any root analysis
+        code = run(tmp_path, monkeypatch,
+                   ["certify", "scalar_quadratic", "b=0.5", "x0=3", "--root-tol=-1"])
+        assert code == 2
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_estimated_measure_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch,
                    ["certify", "chandrasekhar", "c=0.9", "n=16", "--norm", "one",
@@ -137,6 +144,13 @@ class TestSolve:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["certificate"].startswith("unobtainable")
 
+    def test_bad_root_tolerance_exit_2_when_certificate_unobtainable(self, tmp_path,
+                                                                     monkeypatch):
+        code = run(tmp_path, monkeypatch,
+                   ["solve", "scalar_quadratic", "c=2", "x0=2", "b=0.5", "--root-tol=-1"])
+        assert code == 2
+        assert not (tmp_path / "solve_report.json").exists()
+
     def test_determinism(self, tmp_path, monkeypatch):
         argv = ["solve", "chandrasekhar", "c=0.9", "n=8", "--norm", "one",
                 "--measure", "centered", "--seed", "7"]
@@ -180,6 +194,14 @@ class TestCompare:
     def test_bad_root_tolerance_exit_2(self, tmp_path, monkeypatch, tol):
         code = run(tmp_path, monkeypatch,
                    ["compare", "l0=1", "eta=0.3", f"--root-tol={tol}"])
+        assert code == 2
+        assert not (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_root_tolerance_exit_2_when_no_condition_holds(self, tmp_path, monkeypatch,
+                                                               tol):
+        code = run(tmp_path, monkeypatch,
+                   ["compare", "l0=1", "eta=0.6", f"--root-tol={tol}"])
         assert code == 2
         assert not (tmp_path / "comparison.json").exists()
 

@@ -104,6 +104,12 @@ class TestCompareReport:
         rep2 = compare_report(HoelderParams(1.0, 1.0, 0.2, 0.01), R=10.0)
         assert rep2.kantorovich_holds is None
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected_without_bisection(self, tol):
+        p = HoelderParams(1.0, 1.0, 0.0, 0.6)  # neither condition holds
+        with pytest.raises(ValueError):
+            compare_report(p, 10.0, tol)
+
 
 class TestProperties:
     def test_dominance(self):

@@ -1,6 +1,7 @@
 """Iteration engine, trace verification, measure estimation, uniqueness probe."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
     Problem,
     StoppingRule,
+    _probe_starts,
     _sphere_points,
     estimate_majorant,
     estimate_omega,
@@ -29,6 +31,10 @@ from fixedslope.solver import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _no_value(x):
+    raise RuntimeError("no value here")
 
 
 def quad_problem(**kw):
@@ -124,17 +130,41 @@ class TestFsiSolve:
         for it in trace.iterates:
             assert abs(it[0] - 2.0) <= 1.0 + 1e-9
 
+    def test_left_ball_returns_last_iterate_inside(self):
+        p = Problem(f=lambda x: np.array([x[0] ** 2 - 2.0]),
+                    slope=np.array([[-0.25]]), x0=np.array([2.0]), R=1.0)
+        x, trace = fsi_solve(p)
+        assert trace.stop_reason == "left_ball"
+        assert x.tobytes() == trace.iterates[-1].tobytes()
+
+    def test_step_tol_wins_over_residual_tol_on_one_step(self):
+        # F(x) = x - 1, B = 1/2: the first step is 7.5e-4 and leaves a residual of 7.5e-4
+        p = Problem(f=lambda x: x - 1.0, slope=np.array([[0.5]]), x0=np.array([1.0015]), R=1.0)
+        _, trace = fsi_solve(p, StoppingRule(tol_step=1e-3, tol_residual=1e-3))
+        assert trace.num_steps == 1
+        assert trace.residual_norms[-1] <= 1e-3
+        assert trace.stop_reason == "step_tol"
+
     def test_uncertified_certificate_rejected(self):
         fx = build_fixture("scalar_quadratic")
         cert = certify(MajorantModel(eta=1.0, R=10.0, omega=HoelderOmega(1.0, 1.0, 0.0)))
         with pytest.raises(ValueError):
             fsi_solve(fx.problem, cert=cert)
 
-    def test_evaluation_failure_propagates(self):
-        p = Problem(f=lambda x: np.array([float("nan")]),
-                    slope=np.array([[1.0]]), x0=np.array([0.0]), R=1.0)
-        with pytest.raises(EvaluationFailed):
+    @pytest.mark.parametrize("f, message", [
+        (lambda x: np.array([float("nan")]), "operator returned non-finite values"),
+        (_no_value, "operator evaluation raised: no value here"),
+        (lambda x: np.zeros(2), "operator returned shape (2,), expected (1,)"),
+    ], ids=["nan", "raises", "shape"])
+    def test_evaluation_failure_propagates(self, f, message):
+        p = Problem(f=f, slope=np.array([[1.0]]), x0=np.array([0.0]), R=1.0)
+        with pytest.raises(EvaluationFailed) as info:
             fsi_solve(p)
+        assert str(info.value) == message
+        # the probe reports the same text per start instead of raising
+        cert = certify(analytic_model(build_fixture("scalar_quadratic")))
+        report = uniqueness_probe(replace(p, R=cert.lambda_star), cert, num_starts=3)
+        assert report.failures == [(i, f"evaluation failed: {message}") for i in range(3)]
 
     def test_no_linear_solves(self, monkeypatch):
         # the iteration applies B but never inverts or solves with it
@@ -354,6 +384,63 @@ class TestUniquenessProbe:
                        for i, a in enumerate(limits) for b in limits[i + 1:])
         assert expected > 0.0
         assert report.max_pairwise_distance == expected
+
+    @pytest.mark.parametrize("case, stop, outcomes", [
+        (("poly2d", "max"), None, {"converged"}),
+        (("poly2d", "one"), None, {"converged"}),
+        (("poly2d", "two"), None, {"converged"}),
+        (("linear", "max"), None, {"converged"}),
+        (("chandrasekhar", "one"), None, {"converged"}),
+        (("poly2d", "two"), StoppingRule(max_iter=3), {"stopped with max_iter"}),
+        (("poly2d", "max"), StoppingRule(1e-3, 1e-3, max_iter=3),
+         {"converged", "stopped with max_iter"}),
+        (("flaky", "max"), None, {
+            "converged", "evaluation failed: operator returned non-finite values",
+            "evaluation failed: operator evaluation raised: outside the model's domain"}),
+    ])
+    def test_batched_probe_matches_per_start_solves(self, case, stop, outcomes):
+        name, norm = case
+        if name == "chandrasekhar":
+            problem = build_fixture(name, n=8, norm=norm).problem
+            cert = certify(estimate_majorant(problem, seed=1))
+        else:
+            fx = build_fixture("scalar_quadratic" if name == "flaky" else name, norm=norm)
+            problem, cert = fx.problem, certify(analytic_model(fx))
+        if name == "flaky":
+            def flaky(x):  # NaN far right of the root 1.414, raises far left of it
+                if x[0] > 3.5:
+                    return np.array([float("nan")])
+                if x[0] < 0.5:
+                    raise RuntimeError("outside the model's domain")
+                return np.array([x[0] * x[0] - 2.0])
+            problem = replace(problem, f=flaky)
+        assert cert.certified
+        calls = []
+        f = problem.f
+        problem = replace(problem, f=lambda x: (calls.append(None), f(x))[1])
+
+        report = uniqueness_probe(problem, cert, num_starts=40, seed=9, stop=stop)
+        probe_calls = len(calls)
+        limits, failures, expected_calls = [], [], 0
+        for i, start in enumerate(_probe_starts(problem, cert.lambda_star, 40, 9)):
+            rho = vector_norm(start - problem.x0, problem.norm)
+            sub = replace(problem, x0=start, R=rho + cert.lambda_star)
+            try:
+                x, trace = fsi_solve(sub, stop)
+            except EvaluationFailed as exc:
+                failures.append((i, f"evaluation failed: {exc}"))
+                expected_calls += 1  # here every failure happens at the start
+                continue
+            expected_calls += len(trace.residual_norms)  # one F per recorded iterate
+            if trace.converged:
+                limits.append(x)
+            else:
+                failures.append((i, f"stopped with {trace.stop_reason}"))
+        assert [x.tobytes() for x in report.limits] == [x.tobytes() for x in limits]
+        assert report.failures == failures
+        assert probe_calls == expected_calls
+        seen = {msg for _, msg in failures} | ({"converged"} if limits else set())
+        assert seen == outcomes
 
     def test_needs_certified(self):
         from fixedslope.errors import NotCertifiedError
