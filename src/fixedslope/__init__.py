@@ -7,25 +7,8 @@ traces, and compare the certification threshold with the classical
 alternatives.
 """
 
-from .certificate import (
-    BOUNDARY_CLOSED,
-    BOUNDARY_OPEN,
-    ConvergenceCertificate,
-    HoelderParams,
-    certify,
-    check_holder_condition,
-    holder_eta_max,
-    holder_roots,
-)
-from .comparison import (
-    ConditionReport,
-    ahues_condition,
-    ahues_eta_max,
-    ahues_f,
-    ahues_roots,
-    compare_report,
-    kantorovich_condition,
-)
+from .certificate import HoelderParams, certify, check_holder_condition
+from .comparison import compare_report
 from .errors import (
     BadParameters,
     CertificateMissing,
@@ -38,31 +21,14 @@ from .errors import (
     RadiusOutOfRange,
     UnknownFixture,
 )
-from .majorant import (
-    HoelderOmega,
-    MajorantModel,
-    TabulatedOmega,
-    eval_omega,
-    g,
-    gamma_star,
-    lambda_star,
-    maximal_root,
-    minimal_root,
-    phi,
-    scalar_sequence,
-)
-from .norms import matrix_norm, vector_norm
-from .problems import Fixture, analytic_model, build_fixture, fixture_names
+from .majorant import HoelderOmega, MajorantModel, TabulatedOmega
+from .problems import analytic_model, build_fixture
 from .solver import (
-    IterationTrace,
-    MajorizationReport,
     Problem,
     StoppingRule,
-    UniquenessReport,
     estimate_majorant,
     estimate_omega,
     fsi_solve,
-    fsi_step,
     uniqueness_probe,
     verify_majorization,
 )

@@ -75,8 +75,8 @@ class ConvergenceCertificate:
     scalar_sequence_preview: tuple
     # Smallest R that would certify; set when the radius is the only obstacle.
     nu_star_needed: float | None = None
-    # The model the certificate was computed from; lets solvers extend the
-    # scalar sequence past the preview.  In-memory only, never serialized.
+    # The model the certificate was computed from, for checking a run against
+    # the full majorizing sequence.  In-memory only, never serialized.
     model: MajorantModel | None = field(default=None, repr=False, compare=False)
 
     @property

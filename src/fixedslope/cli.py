@@ -109,21 +109,15 @@ def read_certificate(path):
     return ConvergenceCertificate(**values)
 
 
-def trace_to_csv_lines(trace):
+def trace_to_csv_lines(trace, report=None):
+    """CSV rows of a trace; the scalar columns come from its majorization report."""
     lines = ["k,step_norm,residual_norm,v_step,bound_slack,error_bound"]
     for k in range(trace.num_steps):
-        if trace.scalar_steps is not None and k < len(trace.scalar_steps):
-            scalar = (
-                repr(trace.scalar_steps[k]),
-                repr(trace.bound_slacks[k]),
-                repr(trace.error_bounds[k]),
-            )
-        else:
-            scalar = ("", "", "")
-        lines.append(
-            f"{k},{trace.step_norms[k]!r},{trace.residual_norms[k]!r},"
-            f"{scalar[0]},{scalar[1]},{scalar[2]}"
-        )
+        scalar = ",,"
+        if report is not None:
+            scalar = (f"{report.scalar_steps[k]!r},{report.step_slacks[k]!r},"
+                      f"{report.error_bounds[k]!r}")
+        lines.append(f"{k},{trace.step_norms[k]!r},{trace.residual_norms[k]!r},{scalar}")
     return lines
 
 
@@ -226,7 +220,10 @@ def _cmd_solve(args):
                 cert_note = "attached"
     stop = StoppingRule(args.tol_step, args.tol_residual, args.max_iter)
     solution, trace = fsi_solve(fixture.problem, stop, cert)
-    _write_lines(trace_to_csv_lines(trace), args.trace)
+    report = None
+    if cert is not None and trace.num_steps > 0:
+        report = verify_majorization(trace, cert.model, args.slack_tol, args.root_tol)
+    _write_lines(trace_to_csv_lines(trace, report), args.trace)
 
     doc = {
         "schema": SCHEMA_VERSION,
@@ -240,8 +237,7 @@ def _cmd_solve(args):
         "nu_star": _fmt(cert.nu_star) if cert else None,
         "trace_path": args.trace,
     }
-    if cert is not None and trace.num_steps > 0:
-        report = verify_majorization(trace, cert.model, args.slack_tol)
+    if report is not None:
         doc["majorization"] = {
             "passed": report.passed,
             "worst_slack": _fmt(report.worst_slack),
@@ -345,7 +341,7 @@ def _add_problem_arguments(sub, with_measure=True):
         sub.add_argument("--measure", choices=("auto", "analytic", "direct", "centered"),
                          default="auto",
                          help="where the continuity measure comes from")
-    sub.add_argument("--root-tol", type=float, default=majorant.ROOT_TOL)
+        sub.add_argument("--root-tol", type=float, default=majorant.ROOT_TOL)
 
 
 def _build_parser():

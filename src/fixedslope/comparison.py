@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from . import majorant
 from .certificate import HoelderParams, check_holder_condition, holder_eta_max, holder_roots
-from .errors import ConditionFails
 from .majorant import ROOT_TOL
 
 ORDER_STATED = "r_star < nu_star <= nu_star_star"
@@ -33,12 +32,6 @@ def _rival_params(p, delta=None):
     """Rewrite f as the majorant g of a measure with l0 scaled by (1+alpha)."""
     d = p.nu if delta is None else delta
     return HoelderParams(p.l0 * (1.0 + p.alpha), p.alpha, d, p.eta)
-
-
-def ahues_f(p, v, delta=None):
-    """The rival scalar function f(v) = l0 v^(1+alpha) - (1-delta) v + eta."""
-    d = p.nu if delta is None else delta
-    return p.l0 * v ** (1.0 + p.alpha) - (1.0 - d) * v + p.eta
 
 
 def ahues_eta_max(l0, alpha, nu):
@@ -61,15 +54,6 @@ def ahues_roots(p, R, tol=ROOT_TOL, delta=None):
     Raises ConditionFails when the rival condition does not hold.
     """
     return holder_roots(_rival_params(p, delta), R, tol)
-
-
-def kantorovich_condition(l0, eta):
-    """Centered Kantorovich condition 2 l0 eta <= 1 (alpha = 1, nu = 0 case)."""
-    if l0 < 0.0:
-        raise ValueError(f"l0 must be >= 0, got {l0}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    return 2.0 * l0 * eta <= 1.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +95,7 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
     rival_holds, rival_emax = ahues_condition(p, delta)
     kant = None
     if p.alpha == 1.0 and p.nu == 0.0:
-        kant = kantorovich_condition(p.l0, p.eta)
+        kant = 2.0 * p.l0 * p.eta <= 1.0  # centered Kantorovich condition
 
     ns = nss = lam = None
     if new_holds:
@@ -121,10 +105,7 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
             nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
-        try:
-            rs, rss = ahues_roots(p, R, tol, delta)
-        except ConditionFails:  # pragma: no cover - guarded by rival_holds
-            pass
+        rs, rss = ahues_roots(p, R, tol, delta)
 
     ratio = None
     if 0.0 < rival_emax < float("inf"):

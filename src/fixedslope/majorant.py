@@ -29,8 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotCertifiedError, NuNotContractive, RadiusOutOfRange
 
 ROOT_TOL = 1e-12
@@ -175,13 +173,6 @@ class MajorantModel:
                 f"measure tabulated only up to {self.omega.max_radius()}, "
                 f"cannot cover radius R={self.R}"
             )
-
-
-def eval_omega(omega, v):
-    """Evaluate a continuity measure at radius v >= 0."""
-    if v < 0.0:
-        raise RadiusOutOfRange(f"radius must be >= 0, got {v}")
-    return float(omega.value(v))
 
 
 def _check_range(model, v):
@@ -354,9 +345,3 @@ def scalar_sequence(model, tol=ROOT_TOL, max_iter=10000):
         if nxt - seq[-2] <= tol:
             break
     return seq
-
-
-def sample_tabulated(omega, R, num_knots):
-    """Tabulate any measure on a uniform grid over [0, R] (mainly for tests)."""
-    radii = np.linspace(0.0, R, num_knots)
-    return TabulatedOmega(tuple((float(r), float(omega.value(r))) for r in radii))

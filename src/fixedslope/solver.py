@@ -12,12 +12,13 @@ radius rho + lambda_star (rho = the start's distance from x0).  B is
 applied to all live rows with one stacked mat-vec; F is still evaluated
 once per row.
 
-A solve can carry a convergence certificate.  The trace then pairs every
-step with the increment v_{k+1} - v_k of the scalar majorizing sequence
-(which must dominate the step norm) and with the a-priori error bound
-nu_star - v_k, and the trust region shrinks to the certified ball: an
-iterate trying to leave it is a model violation and stops the run with a
-distinguished reason instead of an exception.
+A solve can carry a convergence certificate.  The trust region then
+shrinks to the certified ball: an iterate trying to leave it is a model
+violation and stops the run with a distinguished reason instead of an
+exception.  verify_majorization is the one place that pairs a trace with
+the scalar majorizing sequence: every step with the increment
+v_{k+1} - v_k (which must dominate the step norm) and every iterate with
+the a-priori error bound nu_star - v_k.
 """
 
 import itertools
@@ -34,7 +35,6 @@ from .errors import (
     JacobianMissing,
     NotCertifiedError,
     NuNotContractive,
-    RadiusOutOfRange,
 )
 from .majorant import MajorantModel, TabulatedOmega
 from .norms import NORM_KINDS, matrix_norm, matrix_norms, vector_norm, vector_norms
@@ -118,8 +118,7 @@ class IterationTrace:
     """Recorded run of the iteration.
 
     step_norms has one entry per step; residual_norms one per recorded
-    iterate (so one more).  The scalar fields are present only when the
-    solve carried a certificate.
+    iterate (so one more).
     """
 
     iterates: list
@@ -127,9 +126,6 @@ class IterationTrace:
     residual_norms: list
     stop_reason: str
     norm: str = "max"
-    scalar_steps: list | None = None
-    bound_slacks: list | None = None
-    error_bounds: list | None = None
 
     @property
     def num_steps(self):
@@ -153,13 +149,6 @@ def _call_f(problem, x):
         raise EvaluationFailed(
             f"operator returned shape {y.shape}, expected ({problem.dim},)"
         )
-    return y
-
-
-def _eval_f(problem, x):
-    y = _call_f(problem, x)
-    if not np.all(np.isfinite(y)):
-        raise EvaluationFailed(_NON_FINITE)
     return y
 
 
@@ -195,14 +184,6 @@ def _eval_jacobian(problem, x):
     if not np.all(np.isfinite(j)):
         raise EvaluationFailed("jacobian returned non-finite values")
     return j
-
-
-def fsi_step(problem, x):
-    """One iteration step x - B F(x): one F evaluation, one mat-vec."""
-    x = np.asarray(x, dtype=float)
-    if vector_norm(x - problem.x0, problem.norm) > problem.R + _BALL_SLACK:
-        raise RadiusOutOfRange("step requested outside the trust ball")
-    return x - problem.slope @ _eval_f(problem, x)
 
 
 def _iterate(problem, starts, balls, stop, trace=None):
@@ -280,8 +261,7 @@ def fsi_solve(problem, stop=None, cert=None):
     """Run the iteration; returns (solution, trace).
 
     With a certificate attached the trust ball shrinks to radius
-    min(R, nu_star) and each step gets its scalar counterpart recorded.
-    Reaching max_iter is a stop reason, not an error.
+    min(R, nu_star).  Reaching max_iter is a stop reason, not an error.
     """
     stop = stop or StoppingRule()
     ball = problem.R
@@ -297,18 +277,6 @@ def fsi_solve(problem, stop=None, cert=None):
     if failures:
         raise failures[0]
     x, trace.stop_reason = limits[0], reasons[0]
-    step_norms = trace.step_norms
-    if cert is not None and step_norms:
-        # A certificate read back from a document has no model: pair the preview.
-        terms = (cert.scalar_sequence_preview if cert.model is None
-                 else majorant.majorizing_terms(cert.model))
-        seq = list(itertools.islice(terms, len(step_norms) + 1))
-        pairs = min(len(seq) - 1, len(step_norms))
-        trace.scalar_steps = [seq[k + 1] - seq[k] for k in range(pairs)]
-        trace.bound_slacks = [
-            trace.scalar_steps[k] - step_norms[k] for k in range(pairs)
-        ]
-        trace.error_bounds = [cert.nu_star - seq[k] for k in range(pairs)]
     return x, trace
 
 
@@ -316,55 +284,61 @@ def fsi_solve(problem, stop=None, cert=None):
 class MajorizationReport:
     """Outcome of checking a trace against its scalar majorant.
 
-    step_slacks[k] = (v_{k+1} - v_k) - ||x_{k+1} - x_k||, and when the
-    solve converged tail_slacks[k] = (nu_star - v_k) - ||x_final - x_k||;
-    every slack must stay above -slack_tol for the report to pass.
+    For every step k, scalar_steps[k] = v_{k+1} - v_k bounds the step
+    norm, step_slacks[k] = scalar_steps[k] - ||x_{k+1} - x_k||, and
+    error_bounds[k] = nu_star - v_k is the a-priori bound on
+    ||x* - x_k||.  When the solve converged, tail_slacks[k] =
+    error_bounds[k] - ||x_final - x_k||.  Every slack must stay above
+    -slack_tol for the report to pass.
     """
 
     passed: bool
     worst_slack: float
     slack_tol: float
     converged: bool
+    scalar_steps: list
+    error_bounds: list
     step_slacks: list
     tail_slacks: list | None = None
 
 
-def verify_majorization(trace, model, slack_tol=1e-9):
+def verify_majorization(trace, model, slack_tol=1e-9, tol=majorant.ROOT_TOL):
     """Check the majorization inequalities of a trace against a model.
 
-    The scalar sequence is recomputed from the model, so the trace does
-    not need to have been produced with a certificate attached.  A model
-    that fails the trace is reported, not raised; only a model that
-    cannot be certified at all raises CertificateMissing.
+    The scalar sequence and nu_star (at root tolerance tol) are computed
+    from the model, so the trace does not need to have been produced with
+    a certificate attached.  A model that fails the trace is reported,
+    not raised; only a model that cannot be certified at all raises
+    CertificateMissing.
     """
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
     try:
-        ns = majorant.minimal_root(model)
+        ns = majorant.minimal_root(model, tol)
     except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
         raise CertificateMissing("model has no majorant root, nothing to verify")
 
+    steps = range(trace.num_steps)
     seq = list(itertools.islice(majorant.majorizing_terms(model), trace.num_steps + 1))
-    step_slacks = [
-        (seq[k + 1] - seq[k]) - trace.step_norms[k] for k in range(trace.num_steps)
-    ]
+    scalar_steps = [seq[k + 1] - seq[k] for k in steps]
+    error_bounds = [ns - seq[k] for k in steps]
+    step_slacks = [scalar_steps[k] - trace.step_norms[k] for k in steps]
     worst = min(step_slacks)
     tail_slacks = None
     if trace.converged:
         vn = lambda v: vector_norm(v, trace.norm)
         x_final = trace.iterates[-1]
-        tail_slacks = [
-            (ns - seq[k]) - vn(x_final - trace.iterates[k])
-            for k in range(trace.num_steps)
-        ]
+        tail_slacks = [error_bounds[k] - vn(x_final - trace.iterates[k]) for k in steps]
         worst = min(worst, min(tail_slacks))
     return MajorizationReport(
         passed=worst >= -slack_tol,
         worst_slack=worst,
         slack_tol=slack_tol,
         converged=trace.converged,
+        scalar_steps=scalar_steps,
+        error_bounds=error_bounds,
         step_slacks=step_slacks,
         tail_slacks=tail_slacks,
     )
@@ -470,7 +444,10 @@ def nu_at_start(problem):
 
 def eta_at_start(problem):
     """||B F(x0)||, the exact first-step norm."""
-    return vector_norm(problem.slope @ _eval_f(problem, problem.x0), problem.norm)
+    r, failed = _eval_rows(problem, problem.x0[None])
+    if failed:
+        raise failed[0]
+    return vector_norm(problem.slope @ r[0], problem.norm)
 
 
 def _contraction_at_start(problem):

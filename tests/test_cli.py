@@ -1,5 +1,6 @@
 """Command-line interface: documents, exit codes, determinism."""
 
+import itertools
 import json
 import math
 from dataclasses import fields
@@ -9,9 +10,9 @@ import pytest
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify, not_certified
 from fixedslope.cli import certificate_to_doc, main, read_certificate
 from fixedslope.comparison import ConditionReport
-from fixedslope.majorant import HoelderOmega, MajorantModel
-from fixedslope.problems import build_fixture
-from fixedslope.solver import eta_at_start, nu_at_start
+from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
+from fixedslope.problems import analytic_model, build_fixture
+from fixedslope.solver import eta_at_start, fsi_solve, nu_at_start
 
 SQRT2 = math.sqrt(2.0)
 
@@ -19,6 +20,11 @@ SQRT2 = math.sqrt(2.0)
 def run(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return main(argv)
+
+
+def trace_rows(path):
+    """Data rows of a trace CSV, each split into its six fields."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
 class TestCertify:
@@ -129,6 +135,40 @@ class TestSolve:
         first = lines[1].split(",")
         assert float(first[3]) == 0.5  # v_1 - v_0 = eta
         assert first[4] != "" and first[5] != ""
+
+    def test_scalar_pairing_extends_past_preview(self, tmp_path, monkeypatch):
+        # nu = 0.8: the run outlasts the 16-term preview of the certificate
+        assert run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "b=0.05"]) == 0
+        rows = trace_rows(tmp_path / "trace.csv")
+        assert len(rows) > 16
+        for _, step, _, v_step, slack, bound in rows:
+            assert "" not in (v_step, slack, bound)
+            assert float(slack) == float(v_step) - float(step)
+
+    def test_root_tol_near_tangency(self, tmp_path, monkeypatch):
+        # g(gamma_star) = 5e-8 > 0: no root at the default tolerance, a double
+        # root nu_star = gamma_star = 1 at --root-tol 1e-6
+        code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "c=2.0000001",
+                                           "x0=1", "b=0.5", "--root-tol", "1e-6"])
+        assert code == 0
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["nu_star"] == 1.0
+        assert report["majorization"]["passed"] is True
+        rows = trace_rows(tmp_path / "trace.csv")
+        model = analytic_model(build_fixture("scalar_quadratic", c=2.0000001, x0=1, b=0.5))
+        terms = itertools.islice(majorizing_terms(model), len(rows))
+        assert [float(row[5]) for row in rows] == [1.0 - v for v in terms]
+
+    def test_certificate_read_back_solves_like_in_memory(self, tmp_path, monkeypatch):
+        assert run(tmp_path, monkeypatch, ["certify", "poly2d"]) == 0
+        back = read_certificate(tmp_path / "certificate.json")
+        fx = build_fixture("poly2d")
+        cert = certify(analytic_model(fx))
+        x_back, trace_back = fsi_solve(fx.problem, cert=back)
+        x, trace = fsi_solve(fx.problem, cert=cert)
+        assert x_back.tobytes() == x.tobytes()
+        assert trace_back.stop_reason == trace.stop_reason
+        assert trace_back.num_steps == trace.num_steps
 
     def test_no_certificate_flag(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--no-certificate"])
@@ -254,6 +294,12 @@ class TestEstimateOmega:
         code = run(tmp_path, monkeypatch, command + ["--radii", radii])
         assert code == 2
         assert "number of radii must be >= 1" in capsys.readouterr().err
+
+    def test_root_tol_not_an_option(self, tmp_path, monkeypatch):
+        code = run(tmp_path, monkeypatch,
+                   ["estimate-omega", "scalar_quadratic", "--root-tol", "1e-9"])
+        assert code == 2
+        assert not (tmp_path / "omega.csv").exists()
 
     def test_non_contractive_exit_3(self, tmp_path, monkeypatch):
         # nu = 1 at the start: direct estimation is a runtime refusal

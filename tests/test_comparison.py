@@ -9,35 +9,10 @@ from fixedslope.certificate import HoelderParams, check_holder_condition
 from fixedslope.comparison import (
     ahues_condition,
     ahues_eta_max,
-    ahues_f,
     ahues_roots,
     compare_report,
-    kantorovich_condition,
 )
 from fixedslope.errors import ConditionFails
-
-
-class TestAhuesF:
-    def test_values(self):
-        p = HoelderParams(1.0, 1.0, 0.0, 0.25)
-        assert ahues_f(p, 0.5, delta=0.0) == pytest.approx(0.0, abs=1e-15)
-        assert ahues_f(p, 0.0) == 0.25
-
-    def test_gap_identity(self):
-        # f(v) - g(v) = l0 v^(1+alpha) alpha / (1+alpha) > 0 for v > 0
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            l0 = rng.uniform(0.1, 3.0)
-            alpha = rng.uniform(0.2, 1.0)
-            nu = rng.uniform(0.0, 0.8)
-            eta = rng.uniform(0.01, 1.0)
-            v = rng.uniform(1e-6, 5.0)
-            p = HoelderParams(l0, alpha, nu, eta)
-            g_val = l0 * v ** (1.0 + alpha) / (1.0 + alpha) - (1.0 - nu) * v + eta
-            gap = ahues_f(p, v) - g_val
-            assert gap == pytest.approx(l0 * v ** (1.0 + alpha) * alpha / (1.0 + alpha),
-                                        rel=1e-9)
-            assert gap > 0.0
 
 
 class TestAhuesCondition:
@@ -74,9 +49,11 @@ class TestAhuesRoots:
 
 class TestKantorovich:
     def test_threshold(self):
-        assert kantorovich_condition(1.0, 0.5)  # equality
-        assert not kantorovich_condition(1.0, 0.51)
-        assert kantorovich_condition(0.0, 123.0)
+        holds = lambda l0, eta: compare_report(HoelderParams(l0, 1.0, 0.0, eta),
+                                               R=10.0).kantorovich_holds
+        assert holds(1.0, 0.5)  # equality
+        assert not holds(1.0, 0.51)
+        assert holds(0.0, 123.0)
 
 
 class TestCompareReport:
@@ -165,4 +142,4 @@ class TestProperties:
         # at alpha = 1, nu = 0 the new condition is exactly 2 l0 eta <= 1
         for eta in np.linspace(0.01, 1.2, 241):
             p = HoelderParams(1.0, 1.0, 0.0, float(eta))
-            assert check_holder_condition(p) == kantorovich_condition(1.0, float(eta))
+            assert check_holder_condition(p) == compare_report(p, R=10.0).kantorovich_holds

@@ -16,7 +16,6 @@ from fixedslope.majorant import (
     RootAnalysis,
     TabulatedOmega,
     analyze,
-    eval_omega,
     g,
     gamma_star,
     lambda_star,
@@ -24,7 +23,6 @@ from fixedslope.majorant import (
     maximal_root,
     minimal_root,
     phi,
-    sample_tabulated,
     scalar_sequence,
 )
 
@@ -33,6 +31,12 @@ SQRT2 = math.sqrt(2.0)
 
 def quad_model(eta=0.5, l0=0.5, nu=0.0, R=10.0):
     return MajorantModel(eta=eta, R=R, omega=HoelderOmega(l0, 1.0, nu))
+
+
+def tabulate(omega, R, num_knots):
+    """omega sampled on a uniform grid of num_knots radii over [0, R]."""
+    radii = np.linspace(0.0, R, num_knots)
+    return TabulatedOmega(tuple((float(r), float(omega.value(r))) for r in radii))
 
 
 def random_hoelder_model(rng, certifiable=None):
@@ -53,14 +57,10 @@ def random_hoelder_model(rng, certifiable=None):
 
 class TestOmegaMeasures:
     def test_eval_hoelder(self):
-        assert eval_omega(HoelderOmega(1.0, 1.0, 0.0), 0.25) == 0.25
-        assert eval_omega(HoelderOmega(0.0, 1.0, 0.3), 5.0) == 0.3
+        assert HoelderOmega(1.0, 1.0, 0.0).value(0.25) == 0.25
+        assert HoelderOmega(0.0, 1.0, 0.3).value(5.0) == 0.3
         # v^alpha = 0.04^0.5 = 0.2 exactly
-        assert eval_omega(HoelderOmega(0.5, 0.5, 0.1), 0.04) == pytest.approx(0.2, abs=1e-15)
-
-    def test_eval_negative_radius(self):
-        with pytest.raises(RadiusOutOfRange):
-            eval_omega(HoelderOmega(1.0, 1.0, 0.0), -0.1)
+        assert HoelderOmega(0.5, 0.5, 0.1).value(0.04) == pytest.approx(0.2, abs=1e-15)
 
     def test_hoelder_validation(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestPhiAndG:
     def test_tabulated_phi_matches_hoelder_closed_form(self):
         # A linear measure is reproduced exactly by its tabulation.
         om = HoelderOmega(0.5, 1.0, 0.1)
-        tab = sample_tabulated(om, 4.0, 41)
+        tab = tabulate(om, 4.0, 41)
         mh = MajorantModel(eta=0.3, R=4.0, omega=om)
         mt = MajorantModel(eta=0.3, R=4.0, omega=tab)
         for v in np.linspace(0.0, 4.0, 17):
@@ -246,7 +246,7 @@ class TestProperties:
         for _ in range(100):
             m = random_hoelder_model(rng)
             a, b = sorted(rng.uniform(0.0, m.R, size=2))
-            assert eval_omega(m.omega, a) <= eval_omega(m.omega, b) + 1e-15
+            assert m.omega.value(a) <= m.omega.value(b) + 1e-15
             assert phi(m, a) <= phi(m, b) + 1e-15
 
     def test_convexity_chord(self):
@@ -310,7 +310,7 @@ class TestProperties:
                     nss = maximal_root(mh)
                     R = 1.25 * nss
                     mh = MajorantModel(eta=eta, R=R, omega=om)
-                    mt = MajorantModel(eta=eta, R=R, omega=sample_tabulated(om, R, 4001))
+                    mt = MajorantModel(eta=eta, R=R, omega=tabulate(om, R, 4001))
                     assert minimal_root(mt) == pytest.approx(minimal_root(mh), abs=1e-4)
                     assert gamma_star(mt) == pytest.approx(gamma_star(mh), abs=1e-4)
                     assert lambda_star(mt)[0] == pytest.approx(lambda_star(mh)[0], abs=1e-4)

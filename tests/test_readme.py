@@ -1,0 +1,13 @@
+"""The README's library examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})

@@ -25,7 +25,6 @@ from fixedslope.solver import (
     estimate_majorant,
     estimate_omega,
     fsi_solve,
-    fsi_step,
     uniqueness_probe,
     verify_majorization,
 )
@@ -41,19 +40,29 @@ def quad_problem(**kw):
     return build_fixture("scalar_quadratic", **kw).problem
 
 
+def one_step(problem, x, tol=1e-12):
+    """One step x - B F(x) from x: a solve stopped after one iteration."""
+    stop = StoppingRule(tol_step=tol, tol_residual=tol, max_iter=1)
+    return fsi_solve(replace(problem, x0=np.asarray(x, dtype=float)), stop)
+
+
 class TestFsiStep:
     def test_scalar_arithmetic(self):
         # x - B F(x) = 2 - (1/4) * 2 = 1.5
-        assert fsi_step(quad_problem(), np.array([2.0]))[0] == 1.5
+        x, trace = one_step(quad_problem(), [2.0])
+        assert trace.num_steps == 1
+        assert x[0] == 1.5
 
     def test_linear_exact_one_step(self):
         fx = build_fixture("linear")
-        x = np.array([0.7, -0.3])
-        assert fsi_step(fx.problem, x) == pytest.approx(fx.known_solution, abs=1e-14)
+        x, _ = one_step(fx.problem, [0.7, -0.3])
+        assert x == pytest.approx(fx.known_solution, abs=1e-14)
 
     def test_fixed_point_at_root(self):
         p = quad_problem(x0=math.sqrt(2.0))
-        assert fsi_step(p, p.x0) == pytest.approx(p.x0, abs=1e-15)
+        x, trace = one_step(p, p.x0, tol=1e-300)  # F(x0) = 4.4e-16 still takes the step
+        assert trace.num_steps == 1
+        assert x == pytest.approx(p.x0, abs=1e-15)
 
     def test_single_evaluation(self):
         calls = []
@@ -61,8 +70,9 @@ class TestFsiStep:
         counted = Problem(
             f=lambda x: (calls.append(1), np.array([x[0] ** 2 - 2.0]))[1],
             slope=base.slope, x0=base.x0, R=base.R)
-        fsi_step(counted, np.array([1.8]))
-        assert len(calls) == 1
+        _, trace = one_step(counted, [1.8])
+        assert trace.num_steps == 1
+        assert len(calls) == 2  # one F per recorded iterate: at x0 and after the step
 
 
 class TestFsiSolve:
@@ -87,7 +97,8 @@ class TestFsiSolve:
         cert = certify(analytic_model(fx))
         x, trace = fsi_solve(fx.problem, cert=cert, stop=StoppingRule(max_iter=10000))
         assert abs(x[0] - SQRT2) <= 1e-10
-        assert all(s >= -1e-9 for s in trace.bound_slacks)
+        report = verify_majorization(trace, cert.model)
+        assert all(s >= -1e-9 for s in report.step_slacks)
 
     def test_trace_shapes(self):
         fx = build_fixture("scalar_quadratic")
@@ -95,24 +106,20 @@ class TestFsiSolve:
         _, trace = fsi_solve(fx.problem, cert=cert)
         assert len(trace.iterates) == trace.num_steps + 1
         assert len(trace.residual_norms) == trace.num_steps + 1
-        assert len(trace.scalar_steps) == trace.num_steps
-        assert len(trace.bound_slacks) == trace.num_steps
-        assert len(trace.error_bounds) == trace.num_steps
-
-    def test_scalar_pairing_extends_past_preview(self):
-        fx = build_fixture("scalar_quadratic", b=0.05)  # slow: nu = 0.8
-        cert = certify(analytic_model(fx))
-        _, trace = fsi_solve(fx.problem, cert=cert)
-        assert trace.num_steps > 16
-        assert len(trace.scalar_steps) == trace.num_steps
+        report = verify_majorization(trace, cert.model)
+        assert len(report.scalar_steps) == trace.num_steps
+        assert len(report.step_slacks) == trace.num_steps
+        assert len(report.error_bounds) == trace.num_steps
 
     def test_trace_and_verification_share_one_sequence(self):
         fx = build_fixture("scalar_quadratic", b=0.05)
         cert = certify(analytic_model(fx))
         _, trace = fsi_solve(fx.problem, cert=cert)
         assert trace.num_steps > 16
-        assert trace.bound_slacks == verify_majorization(trace, cert.model).step_slacks
+        report = verify_majorization(trace, cert.model)
         preview = cert.scalar_sequence_preview
+        assert report.scalar_steps[:15] == [b - a for a, b in zip(preview, preview[1:])]
+        assert report.error_bounds[:16] == [cert.nu_star - v for v in preview]
         assert tuple(scalar_sequence(cert.model)[:len(preview)]) == preview
 
     def test_max_iter_stop(self):
@@ -177,7 +184,7 @@ class TestFsiSolve:
         cert = certify(analytic_model(fx))
         x, _ = fsi_solve(fx.problem, cert=cert)
         assert abs(x[0] - SQRT2) <= 1e-10
-        fsi_step(fx.problem, np.array([1.9]))
+        one_step(fx.problem, [1.9])
         estimate_omega(fx.problem, "direct", radii=[0.5, 1.0], samples_per_radius=4)
 
 
