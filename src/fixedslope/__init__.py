@@ -12,7 +12,6 @@ from .comparison import compare_report
 from .errors import (
     BadParameters,
     CertificateMissing,
-    ConditionFails,
     EvaluationFailed,
     FixedSlopeError,
     JacobianMissing,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import majorant
-from .errors import ConditionFails
 from .majorant import ROOT_TOL, HoelderOmega, MajorantModel
 
 PREVIEW_TERMS = 16
@@ -105,8 +104,10 @@ def holder_eta_max(l0, alpha, nu):
 def _holder_roots_unclipped(p, tol):
     """Both roots of g for a Hoelder measure, on the full half-line.
 
-    alpha = 1 is the exact quadratic; l0 = 0 is the affine fixed point with
-    no second root; anything else is bisection on a widened model.
+    The caller must have checked check_holder_condition(p): the roots
+    exist only when it holds.  alpha = 1 is the exact quadratic; l0 = 0 is
+    the affine fixed point with no second root (inf); anything else is
+    bisection on a widened model.
     """
     if p.l0 == 0.0:
         return p.eta / (1.0 - p.nu), math.inf
@@ -122,20 +123,6 @@ def _holder_roots_unclipped(p, tol):
         hi *= 2.0
     roots = majorant.analyze(p.model(hi), tol).require_root("nothing to bracket")
     return roots.nu_star, roots.nu_star_star
-
-
-def holder_roots(p, R, tol=ROOT_TOL):
-    """(nu_star, nu_star_star) for a Hoelder measure, clipped to [0, R].
-
-    A value equal to R means the corresponding root sits at or beyond R.
-    Raises ConditionFails when the closed-form condition is violated.
-    """
-    if not check_holder_condition(p):
-        raise ConditionFails(
-            f"l0*eta^alpha = {p.l0 * p.eta ** p.alpha} exceeds the certifiable bound"
-        )
-    ns, nss = _holder_roots_unclipped(p, tol)
-    return min(ns, R), min(nss, R)
 
 
 def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):

@@ -28,7 +28,6 @@ from .certificate import (
 from .comparison import compare_report
 from .errors import (
     BadParameters,
-    ConditionFails,
     FixedSlopeError,
     NuNotContractive,
     RadiusOutOfRange,
@@ -222,7 +221,7 @@ def _cmd_solve(args):
     solution, trace = fsi_solve(fixture.problem, stop, cert)
     report = None
     if cert is not None and trace.num_steps > 0:
-        report = verify_majorization(trace, cert.model, args.slack_tol, args.root_tol)
+        report = verify_majorization(trace, cert.model, args.root_tol)
     _write_lines(trace_to_csv_lines(trace, report), args.trace)
 
     doc = {
@@ -364,7 +363,6 @@ def _build_parser():
     solve.add_argument("--tol-step", type=float, default=1e-12)
     solve.add_argument("--tol-residual", type=float, default=1e-12)
     solve.add_argument("--max-iter", type=int, default=10000)
-    solve.add_argument("--slack-tol", type=float, default=1e-9)
     solve.add_argument("--trace", default="trace.csv")
     solve.add_argument("--report", default="solve_report.json")
     solve.set_defaults(func=_cmd_solve)
@@ -397,10 +395,8 @@ def main(argv=None):
         return EXIT_BAD_INPUT if code else EXIT_OK
     try:
         return args.func(args)
-    except (UnknownFixture, BadParameters, ConditionFails, RadiusOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UnknownFixture, BadParameters, RadiusOutOfRange,
+            OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except FixedSlopeError as exc:

@@ -21,8 +21,8 @@ stated and the computed ordering rather than asserting either.
 
 from dataclasses import dataclass
 
-from . import majorant
-from .certificate import HoelderParams, check_holder_condition, holder_eta_max, holder_roots
+from . import certificate, majorant
+from .certificate import HoelderParams, check_holder_condition, holder_eta_max
 from .majorant import ROOT_TOL
 
 ORDER_STATED = "r_star < nu_star <= nu_star_star"
@@ -34,26 +34,11 @@ def _rival_params(p, delta=None):
     return HoelderParams(p.l0 * (1.0 + p.alpha), p.alpha, d, p.eta)
 
 
-def ahues_eta_max(l0, alpha, nu):
-    """Largest eta admitted by the rival condition; inf when l0 = 0."""
-    return holder_eta_max(l0 * (1.0 + alpha), alpha, nu)
-
-
 def ahues_condition(p, delta=None):
     """(holds, eta_max) for the rival condition
     l0 eta^alpha <= (1-nu)^(alpha+1) [alpha/(1+alpha)]^alpha (1+alpha)^(-1)."""
     q = _rival_params(p, delta)
     return check_holder_condition(q), holder_eta_max(q.l0, q.alpha, q.nu)
-
-
-def ahues_roots(p, R, tol=ROOT_TOL, delta=None):
-    """(r_star, r_star_star): minimal/maximal roots of f on [0, R].
-
-    Same convex-bisection machinery as the majorant roots, applied to the
-    rewritten measure; values equal to R mean the root is at or beyond R.
-    Raises ConditionFails when the rival condition does not hold.
-    """
-    return holder_roots(_rival_params(p, delta), R, tol)
 
 
 @dataclass(frozen=True)
@@ -105,7 +90,8 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
             nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
-        rs, rss = ahues_roots(p, R, tol, delta)
+        rival = certificate._holder_roots_unclipped(_rival_params(p, delta), tol)
+        rs, rss = min(rival[0], R), min(rival[1], R)
 
     ratio = None
     if 0.0 < rival_emax < float("inf"):

@@ -17,10 +17,6 @@ class NotCertifiedError(FixedSlopeError):
     """An operation that needs a certifiable majorant model got one without a root."""
 
 
-class ConditionFails(FixedSlopeError):
-    """A closed-form convergence condition does not hold for the given parameters."""
-
-
 class CertificateMissing(FixedSlopeError):
     """Bound verification was asked for, but the model cannot back a certificate."""
 

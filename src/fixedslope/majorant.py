@@ -25,7 +25,6 @@ generator of the majorizing sequence v_{k+1} = phi(v_k).
 """
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +78,7 @@ class HoelderOmega:
 class TabulatedOmega:
     """Piecewise-linear measure through (radius, value) knots.
 
-    The first knot must sit at radius 0; radii increase strictly and
+    At least two knots, the first at radius 0; radii increase strictly and
     values are non-negative and non-decreasing, which keeps the
     interpolant a valid (monotone) continuity measure.  Evaluation past
     the last knot is refused rather than extrapolated.
@@ -90,8 +89,8 @@ class TabulatedOmega:
     def __post_init__(self):
         knots = tuple((float(r), float(w)) for r, w in self.knots)
         object.__setattr__(self, "knots", knots)
-        if not knots:
-            raise ValueError("at least one knot required")
+        if len(knots) < 2:
+            raise ValueError("at least two knots required")
         radii = [r for r, _ in knots]
         values = [w for _, w in knots]
         if radii[0] != 0.0:
@@ -115,13 +114,9 @@ class TabulatedOmega:
                 f"v={v} outside tabulated domain [0, {self._radii[-1]}]"
             )
         i = bisect.bisect_right(self._radii, v) - 1
-        return min(i, len(self._radii) - 2) if len(self._radii) > 1 else 0
+        return min(i, len(self._radii) - 2)
 
     def value(self, v):
-        if len(self._radii) == 1:
-            if v != 0.0:
-                raise RadiusOutOfRange("single-knot measure only defined at 0")
-            return self._values[0]
         i = self._segment(v)
         r0, r1 = self._radii[i], self._radii[i + 1]
         w0, w1 = self._values[i], self._values[i + 1]
@@ -129,10 +124,6 @@ class TabulatedOmega:
 
     def integral(self, v):
         """Exact integral of the interpolant over [0, v] (piecewise quadratic)."""
-        if len(self._radii) == 1:
-            if v != 0.0:
-                raise RadiusOutOfRange("single-knot measure only defined at 0")
-            return 0.0
         i = self._segment(v)
         w0 = self._values[i]
         return self._cum[i] + 0.5 * (w0 + self.value(v)) * (v - self._radii[i])
@@ -307,17 +298,6 @@ def analyze(model, tol=ROOT_TOL):
     return RootAnalysis(gam, ns, nss, lam, case)
 
 
-def maximal_root(model, tol=ROOT_TOL):
-    """Maximal root of g on [nu_star, R]; None when the root lies beyond R."""
-    return analyze(model, tol).require_root("nothing to bracket").nu_star_star
-
-
-def lambda_star(model, tol=ROOT_TOL):
-    """Uniqueness radius and its boundary case ("B1" closed, "B2" open)."""
-    roots = analyze(model, tol).require_root("no uniqueness radius")
-    return roots.lambda_star, roots.case
-
-
 def majorizing_terms(model):
     """Endless majorizing sequence v_0 = 0, v_{k+1} = phi(v_k).
 
@@ -328,20 +308,3 @@ def majorizing_terms(model):
     while True:
         yield v
         v = max(phi(model, v), v)
-
-
-def scalar_sequence(model, tol=ROOT_TOL, max_iter=10000):
-    """Majorizing sequence v_0 = 0, v_{k+1} = phi(v_k).
-
-    Truncated once an increment drops to tol or after max_iter steps,
-    whichever comes first.  Requires the minimal root to exist, otherwise
-    the sequence would climb out of [0, R].
-    """
-    if minimal_root(model, tol) is None:
-        raise NotCertifiedError("majorant has no root: sequence does not converge")
-    seq = [0.0]
-    for nxt in itertools.islice(majorizing_terms(model), 1, max_iter + 1):
-        seq.append(nxt)
-        if nxt - seq[-2] <= tol:
-            break
-    return seq

@@ -46,9 +46,9 @@ STOP_LEFT_BALL = "left_ball"
 
 _CONVERGED = (STOP_STEP_TOL, STOP_RESIDUAL_TOL)
 
-# Slack granted on ball-containment checks; matches the bound tolerances
-# used when verifying the majorization inequalities.
-_BALL_SLACK = 1e-9
+# Slack granted on ball-containment checks and on the majorization
+# inequalities alike.
+_SLACK = 1e-9
 
 _NON_FINITE = "operator returned non-finite values"
 
@@ -107,7 +107,7 @@ class StoppingRule:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.tol_step <= 0.0 or self.tol_residual <= 0.0:
+        if not all(0.0 < t < math.inf for t in (self.tol_step, self.tol_residual)):
             raise BadParameters("stopping tolerances must be positive")
         if self.max_iter < 1:
             raise BadParameters("max_iter must be >= 1")
@@ -205,7 +205,7 @@ def _iterate(problem, starts, balls, stop, trace=None):
     reasons = [None] * len(starts)
     failures = {}
     rows = np.arange(len(starts))
-    x, centers, reach = starts, starts, balls + _BALL_SLACK
+    x, centers, reach = starts, starts, balls + _SLACK
     r, failed = _eval_rows(problem, x)
     rn = vector_norms(r, norm)
     sn = np.full(len(starts), np.inf)
@@ -288,13 +288,13 @@ class MajorizationReport:
     norm, step_slacks[k] = scalar_steps[k] - ||x_{k+1} - x_k||, and
     error_bounds[k] = nu_star - v_k is the a-priori bound on
     ||x* - x_k||.  When the solve converged, tail_slacks[k] =
-    error_bounds[k] - ||x_final - x_k||.  Every slack must stay above
-    -slack_tol for the report to pass.
+    error_bounds[k] - ||x_final - x_k||.  The report passes when every
+    slack stays above -1e-9 and the run did not stop with left_ball: an
+    iterate that tried to leave the trust ball contradicts the model.
     """
 
     passed: bool
     worst_slack: float
-    slack_tol: float
     converged: bool
     scalar_steps: list
     error_bounds: list
@@ -302,7 +302,7 @@ class MajorizationReport:
     tail_slacks: list | None = None
 
 
-def verify_majorization(trace, model, slack_tol=1e-9, tol=majorant.ROOT_TOL):
+def verify_majorization(trace, model, tol=majorant.ROOT_TOL):
     """Check the majorization inequalities of a trace against a model.
 
     The scalar sequence and nu_star (at root tolerance tol) are computed
@@ -333,9 +333,8 @@ def verify_majorization(trace, model, slack_tol=1e-9, tol=majorant.ROOT_TOL):
         tail_slacks = [error_bounds[k] - vn(x_final - trace.iterates[k]) for k in steps]
         worst = min(worst, min(tail_slacks))
     return MajorizationReport(
-        passed=worst >= -slack_tol,
+        passed=worst >= -_SLACK and trace.stop_reason != STOP_LEFT_BALL,
         worst_slack=worst,
-        slack_tol=slack_tol,
         converged=trace.converged,
         scalar_steps=scalar_steps,
         error_bounds=error_bounds,
@@ -525,7 +524,7 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
     """
     if not cert.certified:
         raise NotCertifiedError("uniqueness probe needs a certified certificate")
-    if cert.lambda_star > problem.R + _BALL_SLACK:
+    if cert.lambda_star > problem.R + _SLACK:
         raise BadParameters("uniqueness radius exceeds the problem trust radius")
     if num_starts < 1:
         raise BadParameters("num_starts must be >= 1")

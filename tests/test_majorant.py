@@ -4,6 +4,7 @@ Expected values are frozen from independent oracles: closed-form
 quadratics for alpha = 1, dense grid scans of g for everything else.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,12 +19,9 @@ from fixedslope.majorant import (
     analyze,
     g,
     gamma_star,
-    lambda_star,
     majorizing_terms,
-    maximal_root,
     minimal_root,
     phi,
-    scalar_sequence,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -37,6 +35,16 @@ def tabulate(omega, R, num_knots):
     """omega sampled on a uniform grid of num_knots radii over [0, R]."""
     radii = np.linspace(0.0, R, num_knots)
     return TabulatedOmega(tuple((float(r), float(omega.value(r))) for r in radii))
+
+
+def truncated_sequence(model, tol=1e-12, max_iter=10000):
+    """Majorizing terms up to the first increment <= tol, or max_iter steps."""
+    seq = [0.0]
+    for v in itertools.islice(majorizing_terms(model), 1, max_iter + 1):
+        seq.append(v)
+        if v - seq[-2] <= tol:
+            break
+    return seq
 
 
 def random_hoelder_model(rng, certifiable=None):
@@ -89,6 +97,11 @@ class TestOmegaMeasures:
             TabulatedOmega(((0.0, 0.1), (0.0, 0.2)))  # radii not increasing
         with pytest.raises(ValueError):
             TabulatedOmega(((0.0, -0.1), (1.0, 0.2)))  # negative value
+
+    def test_one_knot_rejected(self):
+        # a single knot covers no radius above 0, so no model could hold it
+        with pytest.raises(ValueError):
+            TabulatedOmega(((0.0, 0.1),))
 
     def test_tabulated_integral_matches_quadrature(self):
         om = TabulatedOmega(((0.0, 0.0), (0.5, 0.25), (1.0, 0.3), (2.0, 0.9)))
@@ -163,22 +176,25 @@ class TestRoots:
         assert minimal_root(quad_model(eta=1.0, l0=1.0)) is None
 
     def test_maximal_root_quadratic(self):
-        assert maximal_root(quad_model()) == pytest.approx(2.0 + SQRT2, abs=1e-10)
+        assert analyze(quad_model()).nu_star_star == pytest.approx(2.0 + SQRT2, abs=1e-10)
 
     def test_maximal_root_tangency(self):
-        assert maximal_root(quad_model(l0=1.0)) == pytest.approx(1.0, abs=1e-9)
+        assert analyze(quad_model(l0=1.0)).nu_star_star == pytest.approx(1.0, abs=1e-9)
 
     def test_maximal_root_beyond_radius(self):
         # g(3) = 0.5 + 2.25 - 3 < 0: maximal root beyond R
-        assert maximal_root(quad_model(R=3.0)) is None
+        roots = analyze(quad_model(R=3.0))
+        assert roots.nu_star is not None and roots.nu_star_star is None
 
     def test_maximal_root_requires_minimal(self):
+        roots = analyze(quad_model(eta=1.0, l0=1.0))
+        assert roots.nu_star_star is None
         with pytest.raises(NotCertifiedError):
-            maximal_root(quad_model(eta=1.0, l0=1.0))
+            roots.require_root("nothing to bracket")
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, tol):
-        for fn in (minimal_root, analyze, maximal_root, lambda_star, scalar_sequence):
+        for fn in (minimal_root, analyze):
             with pytest.raises(ValueError):
                 fn(quad_model(), tol)
 
@@ -199,45 +215,48 @@ class TestRoots:
         assert (roots.lambda_star, roots.case) == (roots.nu_star, "B1")
 
     def test_lambda_star_cases(self):
-        assert lambda_star(quad_model()) == (pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
-        lam, case = lambda_star(quad_model(l0=1.0))
-        assert case == "B1" and lam == pytest.approx(1.0, abs=1e-9)
-        lam, case = lambda_star(quad_model(R=3.0))
-        assert (lam, case) == (3.0, "B1")
+        roots = analyze(quad_model())
+        assert (roots.lambda_star, roots.case) == (pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
+        roots = analyze(quad_model(l0=1.0))
+        assert roots.case == "B1" and roots.lambda_star == pytest.approx(1.0, abs=1e-9)
+        roots = analyze(quad_model(R=3.0))
+        assert (roots.lambda_star, roots.case) == (3.0, "B1")
 
 
 class TestScalarSequence:
     def test_quadratic_sequence(self):
-        seq = scalar_sequence(quad_model(), tol=1e-12, max_iter=1000)
+        seq = truncated_sequence(quad_model(), tol=1e-12, max_iter=1000)
         assert seq[0] == 0.0
         assert seq[1] == 0.5
         assert seq[2] == 0.5625
         assert seq[-1] == pytest.approx(2.0 - SQRT2, abs=1e-8)
 
     def test_constant_phi(self):
-        seq = scalar_sequence(quad_model(l0=0.0), tol=1e-15, max_iter=50)
+        seq = truncated_sequence(quad_model(l0=0.0), tol=1e-15, max_iter=50)
         assert seq[1] == 0.5
         assert all(v == 0.5 for v in seq[1:])
 
     def test_affine_geometric(self):
         # phi(v) = 0.5 + 0.5 v: fixed point 1, ratio 0.5
         m = MajorantModel(eta=0.5, R=10.0, omega=HoelderOmega(0.0, 1.0, 0.5))
-        seq = scalar_sequence(m, tol=1e-13, max_iter=100)
+        seq = truncated_sequence(m, tol=1e-13, max_iter=100)
         assert seq[-1] == pytest.approx(1.0, abs=1e-12)
         gaps = [1.0 - v for v in seq[:-1]]
         ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 1e-10]
         assert all(r == pytest.approx(0.5, abs=1e-9) for r in ratios)
 
     def test_uncertifiable_raises(self):
-        with pytest.raises(NotCertifiedError):
-            scalar_sequence(quad_model(eta=1.0, l0=1.0))
+        # without a root the sequence climbs out of [0, R]: 0, 1, 1.5, ..., 20.8
+        with pytest.raises(RadiusOutOfRange):
+            list(itertools.islice(majorizing_terms(quad_model(eta=1.0, l0=1.0)), 100))
 
     def test_majorizing_terms_prefix(self):
         m = quad_model()
-        terms = majorizing_terms(m)
-        assert [next(terms) for _ in range(3)] == [0.0, 0.5, 0.5625]
-        seq = scalar_sequence(m)
-        assert [next(terms) for _ in range(len(seq) - 3)] == seq[3:]
+        terms = list(itertools.islice(majorizing_terms(m), 60))
+        assert terms[:3] == [0.0, 0.5, 0.5625]
+        assert all(b == phi(m, a) for a, b in zip(terms[:40], terms[1:40]))
+        assert all(b >= a for a, b in zip(terms, terms[1:]))
+        assert terms[-1] == pytest.approx(2.0 - SQRT2, abs=1e-12)
 
 
 class TestProperties:
@@ -291,7 +310,7 @@ class TestProperties:
             m = random_hoelder_model(rng, certifiable=True)
             tol = 1e-10
             ns = minimal_root(m, tol=tol)
-            seq = scalar_sequence(m, tol=tol, max_iter=100000)
+            seq = truncated_sequence(m, tol=tol, max_iter=100000)
             assert all(b >= a for a, b in zip(seq, seq[1:]))
             assert all(v <= ns + tol for v in seq)
             assert abs(seq[-1] - ns) <= 10.0 * tol
@@ -307,10 +326,11 @@ class TestProperties:
                     eta = 0.5 * emax
                     om = HoelderOmega(l0, alpha, nu)
                     mh = MajorantModel(eta=eta, R=10.0, omega=om)
-                    nss = maximal_root(mh)
+                    nss = analyze(mh).nu_star_star
                     R = 1.25 * nss
                     mh = MajorantModel(eta=eta, R=R, omega=om)
                     mt = MajorantModel(eta=eta, R=R, omega=tabulate(om, R, 4001))
                     assert minimal_root(mt) == pytest.approx(minimal_root(mh), abs=1e-4)
                     assert gamma_star(mt) == pytest.approx(gamma_star(mh), abs=1e-4)
-                    assert lambda_star(mt)[0] == pytest.approx(lambda_star(mh)[0], abs=1e-4)
+                    assert analyze(mt).lambda_star == pytest.approx(
+                        analyze(mh).lambda_star, abs=1e-4)

@@ -1,7 +1,10 @@
-"""The README's library examples run as written."""
+"""The README's library examples and command lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from fixedslope.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,11 @@ def test_quickstart_runs():
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = re.findall(r"^fixedslope (.*)$", README.read_text(), re.M)
+    assert len(commands) >= 5
+    for line in commands:
+        assert main(shlex.split(line)) == 0, line

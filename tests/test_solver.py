@@ -1,5 +1,6 @@
 """Iteration engine, trace verification, measure estimation, uniqueness probe."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from fixedslope.errors import (
     JacobianMissing,
     NuNotContractive,
 )
-from fixedslope.majorant import HoelderOmega, MajorantModel, scalar_sequence
+from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
 from fixedslope.norms import matrix_norm, vector_norm
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
@@ -120,7 +121,7 @@ class TestFsiSolve:
         preview = cert.scalar_sequence_preview
         assert report.scalar_steps[:15] == [b - a for a, b in zip(preview, preview[1:])]
         assert report.error_bounds[:16] == [cert.nu_star - v for v in preview]
-        assert tuple(scalar_sequence(cert.model)[:len(preview)]) == preview
+        assert tuple(itertools.islice(majorizing_terms(cert.model), len(preview))) == preview
 
     def test_max_iter_stop(self):
         fx = build_fixture("scalar_quadratic")
@@ -151,6 +152,13 @@ class TestFsiSolve:
         assert trace.num_steps == 1
         assert trace.residual_norms[-1] <= 1e-3
         assert trace.stop_reason == "step_tol"
+
+    @pytest.mark.parametrize("tols", [
+        (0.0, 1e-12), (1e-12, -1.0), (math.nan, 1e-12), (1e-12, math.nan), (math.inf, 1e-12),
+    ])
+    def test_stopping_tolerances_finite_and_positive(self, tols):
+        with pytest.raises(BadParameters):
+            StoppingRule(*tols)
 
     def test_uncertified_certificate_rejected(self):
         fx = build_fixture("scalar_quadratic")
@@ -197,7 +205,7 @@ class TestVerifyMajorization:
             cert = certify(model)
             assert cert.certified
             _, trace = fsi_solve(fx.problem, cert=cert)
-            report = verify_majorization(trace, model, slack_tol=1e-9)
+            report = verify_majorization(trace, model)
             assert report.passed, f"{name}: worst slack {report.worst_slack}"
 
     def test_single_step_linear_equality(self):
@@ -217,6 +225,19 @@ class TestVerifyMajorization:
         report = verify_majorization(trace, lying)
         assert not report.passed
         assert report.worst_slack < -0.1
+
+    def test_run_that_left_its_ball_fails(self):
+        # the model certifies nu_star = 0.513, but the solution sqrt(2) lies
+        # 0.586 from x0 = 2: the second iterate would leave the ball
+        fx = build_fixture("scalar_quadratic")
+        wrong = MajorantModel(eta=0.5, R=10.0, omega=HoelderOmega(0.1, 1.0))
+        cert = certify(wrong)
+        assert cert.nu_star == pytest.approx(0.513, abs=1e-3)
+        _, trace = fsi_solve(fx.problem, cert=cert)
+        assert (trace.stop_reason, trace.num_steps) == ("left_ball", 1)
+        report = verify_majorization(trace, wrong)
+        assert min(report.step_slacks) >= -1e-9  # the one step taken is majorized
+        assert not report.passed
 
     def test_uncertifiable_model_raises(self):
         fx = build_fixture("scalar_quadratic")
