@@ -6,9 +6,9 @@ measures are CSV.  Floats are serialized with their shortest round-trip
 decimal representation, so re-reading a document reproduces the values
 bit for bit.
 
-Exit codes: 0 success, 1 certification refused (certify only; the
-diagnostic document is still written), 2 invalid input, 3 runtime
-evaluation failure.
+Exit codes: 0 success, 1 certification refused by certify or a certified
+solve that fails its majorization check (the documents are still
+written), 2 invalid input, 3 runtime evaluation failure.
 """
 
 import argparse
@@ -246,7 +246,7 @@ def _cmd_solve(args):
         f"{trace.stop_reason} after {trace.num_steps} steps, "
         f"residual {trace.residual_norms[-1]!r} -> {args.trace}, {args.report}"
     )
-    return EXIT_OK
+    return EXIT_NOT_CERTIFIED if report is not None and not report.passed else EXIT_OK
 
 
 def _format_compare_table(rep):

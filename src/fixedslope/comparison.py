@@ -71,9 +71,10 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
     Radii that do not exist (condition fails, or the root lies beyond R
     and is clipped there) are reported as the clipped value or None; the
     containment check runs only when all four roots are strictly inside R.
-    Raises ValueError for a negative or non-finite tol.
+    Raises ValueError for a bad tol or R, even when no condition holds.
     """
     majorant._check_root_tol(tol)
+    model = p.model(R)
     d = p.nu if delta is None else delta
     new_holds = check_holder_condition(p)
     new_emax = holder_eta_max(p.l0, p.alpha, p.nu)
@@ -84,7 +85,7 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
 
     ns = nss = lam = None
     if new_holds:
-        roots = majorant.analyze(p.model(R), tol)
+        roots = majorant.analyze(model, tol)
         ns, lam = roots.nu_star, roots.lambda_star
         if ns is not None:
             nss = R if roots.nu_star_star is None else roots.nu_star_star

@@ -95,8 +95,8 @@ class TabulatedOmega:
         values = [w for _, w in knots]
         if radii[0] != 0.0:
             raise ValueError("first knot must be at radius 0")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("knot radii must increase strictly")
+        if not all(a < b < math.inf for a, b in zip(radii, radii[1:])):
+            raise ValueError("knot radii must be finite and increase strictly")
         if any(w < 0.0 or not math.isfinite(w) for w in values):
             raise ValueError("knot values must be finite and >= 0")
         if any(b < a for a, b in zip(values, values[1:])):

@@ -6,12 +6,13 @@ of the iteration map plus the tight first-step bound eta = ||B F(x0)||.
 That makes certificates, traces and the measure estimator checkable
 against hand-computable values.
 
+Operators act on the last axis, so they take a point or a stack alike.
 Fixture builders may invert a small dense matrix to construct the slope
-(the classic choice B = F'(x0)^{-1}); the solver itself never inverts
-anything.
+(the classic choice B = F'(x0)^{-1}); the solver never inverts anything.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
         raise BadParameters("slope b must be invertible (nonzero)")
 
     problem = Problem(
-        f=lambda x: np.array([x[0] * x[0] - c]),
-        jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        f=lambda x: x * x - c,
+        jacobian=lambda x: 2.0 * x[..., None],
         slope=np.array([[b]]),
         x0=np.array([x0]),
         R=R,
@@ -103,14 +104,17 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
     d = abs(x0 - a)
     if d == 0.0:
         raise BadParameters("x0 = a makes F'(x0) = 0 and the map non-contractive")
+    # Python's float power, element by element: numpy's SIMD power can differ
+    # from it in the last bit, and only on some CPUs.
+    power = np.vectorize(operator.pow, otypes=[float])
 
     def f(x):
-        t = x[0] - a
-        return np.array([math.copysign(abs(t) ** (1.0 + alpha), t) / (1.0 + alpha) + c])
+        t = x - a
+        return np.copysign(power(np.abs(t), 1.0 + alpha), t) / (1.0 + alpha) + c
 
     problem = Problem(
         f=f,
-        jacobian=lambda x: np.array([[abs(x[0] - a) ** alpha]]),
+        jacobian=lambda x: power(np.abs(x - a), alpha)[..., None],
         slope=np.array([[b]]),
         x0=np.array([x0]),
         R=R,
@@ -173,16 +177,16 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
     ])
 
     def f(x):
-        return np.array([
-            x[0] * x[0] + lin[0] * x[0] + coupling[0] * x[1] - c[0],
-            coupling[1] * x[0] + x[1] * x[1] + lin[1] * x[1] - c[1],
-        ])
+        u, v = x[..., 0], x[..., 1]
+        return np.stack([
+            u * u + lin[0] * u + coupling[0] * v - c[0],
+            coupling[1] * u + v * v + lin[1] * v - c[1],
+        ], axis=-1)
+
+    constant = np.array([[lin[0], coupling[0]], [coupling[1], lin[1]]])
 
     def jac(x):
-        return np.array([
-            [2.0 * x[0] + lin[0], coupling[0]],
-            [coupling[1], 2.0 * x[1] + lin[1]],
-        ])
+        return constant + 2.0 * x[..., None, :] * np.eye(2)
 
     slope = np.linalg.inv(jac(x0))
     problem = Problem(f=f, jacobian=jac, slope=slope, x0=x0, R=R, norm=norm)
@@ -214,8 +218,8 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
     slope = np.linalg.inv(A)
     solution = slope @ b_vec
     problem = Problem(
-        f=lambda x: A @ x - b_vec,
-        jacobian=lambda x: A.copy(),
+        f=lambda x: np.matmul(A, x[..., None])[..., 0] - b_vec,
+        jacobian=lambda x: np.broadcast_to(A, x.shape + (n,)),
         slope=slope,
         x0=x0,
         R=R,
@@ -257,10 +261,11 @@ def _chandrasekhar(norm, c=0.9, n=16, R=None):
     kernel = (c / 2.0) * (1.0 / n) * mu[:, None] / (mu[:, None] + mu[None, :])
 
     def f(h):
-        return h - 1.0 - h * (kernel @ h)
+        return h - 1.0 - h * np.matmul(kernel, h[..., None])[..., 0]
 
     def jac(h):
-        return np.diag(1.0 - kernel @ h) - h[:, None] * kernel
+        d = 1.0 - np.matmul(kernel, h[..., None])[..., 0]
+        return np.eye(n) * d[..., None] - h[..., None] * kernel
 
     x0 = np.ones(n)
     slope = np.linalg.inv(jac(x0))

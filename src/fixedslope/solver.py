@@ -8,9 +8,8 @@ contraction rate but never the arithmetic.
 One private kernel runs the iteration on a stack of starts, each row with
 its own trust ball and its own stop: fsi_solve is its one-row case, and
 uniqueness_probe runs all its starts together as rows, each with trust
-radius rho + lambda_star (rho = the start's distance from x0).  B is
-applied to all live rows with one stacked mat-vec; F is still evaluated
-once per row.
+radius rho + lambda_star (rho = the start's distance from x0).  F and B
+are each applied to all live rows at once.
 
 A solve can carry a convergence certificate.  The trust region then
 shrinks to the certified ball: an iterate trying to leave it is a model
@@ -66,11 +65,13 @@ _STACK_FLOATS = 2**13
 class Problem:
     """A finite-dimensional instance F(x) = 0 with its fixed slope.
 
-    f maps an (n,) vector to an (n,) vector; jacobian (optional, needed
-    only by the measure estimator) maps it to a dense (n, n) matrix.  All
-    evaluations must be possible inside the closed ball of radius R
-    around x0.  Evaluators must be effect-free; the probe routines may
-    call them from several starts.
+    f maps a stack of points (S, n) to a stack of values (S, n); jacobian
+    (optional, needed only by the measure estimator) maps it to a stack of
+    dense matrices (S, n, n).  Row i of a result depends on row i of the
+    stack alone: the iteration calls f once per step for all live starts,
+    and the estimator calls jacobian once per stack of sampled points.  All
+    evaluations must be possible inside the closed ball of radius R around
+    x0, and evaluators must be effect-free.
     """
 
     f: object
@@ -136,51 +137,48 @@ class IterationTrace:
         return self.stop_reason in _CONVERGED
 
 
-def _call_f(problem, x):
-    """F(x) as an (n,) array; EvaluationFailed if F raises or gives the wrong shape.
+def _evaluate(fn, x, shape, what):
+    """fn(x) as a float array of this shape; EvaluationFailed if fn raises or gives another.
 
-    Finiteness is left to the caller, so a block of rows is checked at once.
+    Finiteness is left to the caller, so a stack can be checked row by row.
     """
     try:
-        y = np.asarray(problem.f(x), dtype=float)
+        y = np.asarray(fn(x), dtype=float)
     except Exception as exc:
-        raise EvaluationFailed(f"operator evaluation raised: {exc}") from exc
-    if y.shape != (problem.dim,):
-        raise EvaluationFailed(
-            f"operator returned shape {y.shape}, expected ({problem.dim},)"
-        )
+        raise EvaluationFailed(f"{what} evaluation raised: {exc}") from exc
+    if y.shape != shape:
+        raise EvaluationFailed(f"{what} returned shape {y.shape}, expected {shape}")
     return y
 
 
 def _eval_rows(problem, x):
     """F at every row of x, and {row: EvaluationFailed} for the rows where it failed.
 
-    A failed row holds zeros; the finiteness check runs once for the block.
+    F is called once on the whole stack.  Only if that call fails is every
+    row evaluated alone, so that each failing row keeps its own message; a
+    failed row holds zeros.  Non-finite rows are flagged one by one.
     """
-    r = np.empty_like(x)
     failed = {}
-    for i, xi in enumerate(x):
-        try:
-            r[i] = _call_f(problem, xi)
-        except EvaluationFailed as exc:
-            failed[i] = exc
-            r[i] = 0.0
+    try:
+        r = _evaluate(problem.f, x, x.shape, "operator")
+    except EvaluationFailed:
+        r = np.zeros_like(x)
+        for i in range(len(x)):
+            try:
+                r[i] = _evaluate(problem.f, x[i:i + 1], (1, problem.dim), "operator")[0]
+            except EvaluationFailed as exc:
+                failed[i] = exc
     if not np.isfinite(r).all():
         for i in np.flatnonzero(~np.isfinite(r).all(axis=-1)):
             failed[int(i)] = EvaluationFailed(_NON_FINITE)
     return r, failed
 
 
-def _eval_jacobian(problem, x):
+def _jacobians(problem, x):
+    """F' at every row of x as an (S, n, n) stack; any failure raises."""
     if problem.jacobian is None:
         raise JacobianMissing("problem has no jacobian evaluator")
-    try:
-        j = np.asarray(problem.jacobian(x), dtype=float)
-    except Exception as exc:
-        raise EvaluationFailed(f"jacobian evaluation raised: {exc}") from exc
-    n = problem.dim
-    if j.shape != (n, n):
-        raise EvaluationFailed(f"jacobian returned shape {j.shape}, expected ({n}, {n})")
+    j = _evaluate(problem.jacobian, x, x.shape + (problem.dim,), "jacobian")
     if not np.all(np.isfinite(j)):
         raise EvaluationFailed("jacobian returned non-finite values")
     return j
@@ -344,7 +342,7 @@ def verify_majorization(trace, model, tol=majorant.ROOT_TOL):
 
 
 def _sphere_points(problem, radius, samples, rng):
-    """Points on the sphere of the problem norm around x0.
+    """Points on the sphere of the problem norm around x0, as a (k, n) stack.
 
     Dimension 1 has a two-point sphere and is enumerated exactly.  In
     higher dimensions the budget mixes seeded pseudorandom directions
@@ -355,7 +353,7 @@ def _sphere_points(problem, radius, samples, rng):
     """
     n = problem.dim
     if n == 1:
-        return [problem.x0 - radius, problem.x0 + radius]
+        return problem.x0 + radius * np.array([[-1.0], [1.0]])
     directions = []
     if problem.norm == "one":
         for j in range(n):
@@ -373,7 +371,7 @@ def _sphere_points(problem, radius, samples, rng):
             d = rng.standard_normal(n)
             nd = vector_norm(d, problem.norm)
         directions.append(d / nd)
-    return [problem.x0 + radius * d for d in directions]
+    return problem.x0 + radius * np.array(directions)
 
 
 def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64, seed=0):
@@ -390,8 +388,8 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64,
     if radii is None:
         radii = default_radii(problem.R)
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0.0 for r in radii):
-        raise BadParameters("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise BadParameters("radii must be finite and positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise BadParameters("radii must increase strictly")
     if radii[-1] > problem.R * (1.0 + 1e-12):
@@ -405,11 +403,9 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64,
         shift = np.eye(n)
     else:
         base = 0.0
-        shift = problem.slope @ _eval_jacobian(problem, problem.x0)
+        shift = problem.slope @ _jacobians(problem, problem.x0[None])[0]
 
     chunk = max(1, _STACK_FLOATS // n**2)
-    jacobians = np.empty((chunk, n, n))
-    defects = np.empty_like(jacobians)
     rng = np.random.default_rng(seed)
     knots = [(0.0, base)]
     running = base
@@ -417,11 +413,7 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64,
         points = _sphere_points(problem, radius, samples_per_radius, rng)
         worst = 0.0
         for lo in range(0, len(points), chunk):
-            part = points[lo:lo + chunk]
-            k = len(part)
-            for i, x in enumerate(part):
-                jacobians[i] = _eval_jacobian(problem, x)
-            stack = np.matmul(problem.slope, jacobians[:k], out=defects[:k])
+            stack = np.matmul(problem.slope, _jacobians(problem, points[lo:lo + chunk]))
             stack -= shift
             worst = max(worst, float(np.max(matrix_norms(stack, problem.norm))))
         running = max(running, worst)
@@ -437,7 +429,7 @@ def default_radii(R, num=DEFAULT_NUM_RADII):
 
 def nu_at_start(problem):
     """||B F'(x0) - I||, the contraction defect at the starting point."""
-    j0 = _eval_jacobian(problem, problem.x0)
+    j0 = _jacobians(problem, problem.x0[None])[0]
     return matrix_norm(problem.slope @ j0 - np.eye(problem.dim), problem.norm)
 
 

@@ -203,15 +203,19 @@ class TestSolve:
         assert not (tmp_path / "trace.csv").exists()
 
     def test_left_ball_fails_majorization(self, tmp_path, monkeypatch):
-        # the sampled two-norm measure certifies too small a ball (nu_star 3.95,
-        # solution at 4.55): the run leaves it after one majorized step
-        code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", "n=64", "--norm", "two",
-                                           "--measure", "centered"])
-        assert code == 0
-        doc = json.loads((tmp_path / "solve_report.json").read_text())
-        assert (doc["stop_reason"], doc["steps"]) == ("left_ball", 1)
-        assert not doc["majorization"]["passed"]
-        assert doc["majorization"]["worst_slack"] == pytest.approx(0.0, abs=1e-9)
+        # the sampled two-norm measure certifies too small a ball (n=64: nu_star
+        # 3.95, solution at 4.55; n=16: 2.10 against 2.27), so the run leaves it
+        for args, steps, worst_slack in [
+            (["n=64", "--measure", "centered"], 1, pytest.approx(0.0, abs=1e-9)),
+            (["n=16"], 2, pytest.approx(-0.0808, abs=1e-4)),
+        ]:
+            code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", *args, "--norm", "two"])
+            assert code == 1
+            assert len(trace_rows(tmp_path / "trace.csv")) == steps
+            doc = json.loads((tmp_path / "solve_report.json").read_text())
+            assert (doc["stop_reason"], doc["steps"]) == ("left_ball", steps)
+            assert not doc["majorization"]["passed"]
+            assert doc["majorization"]["worst_slack"] == worst_slack
 
     def test_determinism(self, tmp_path, monkeypatch):
         argv = ["solve", "chandrasekhar", "c=0.9", "n=8", "--norm", "one",
@@ -264,6 +268,12 @@ class TestCompare:
                                                                tol):
         code = run(tmp_path, monkeypatch,
                    ["compare", "l0=1", "eta=0.6", f"--root-tol={tol}"])
+        assert code == 2
+        assert not (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("R", ["nan", "-1", "0", "inf"])
+    def test_bad_radius_exit_2_when_no_condition_holds(self, tmp_path, monkeypatch, R):
+        code = run(tmp_path, monkeypatch, ["compare", "l0=1", "eta=0.6", f"R={R}"])
         assert code == 2
         assert not (tmp_path / "comparison.json").exists()
 

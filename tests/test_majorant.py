@@ -97,6 +97,11 @@ class TestOmegaMeasures:
             TabulatedOmega(((0.0, 0.1), (0.0, 0.2)))  # radii not increasing
         with pytest.raises(ValueError):
             TabulatedOmega(((0.0, -0.1), (1.0, 0.2)))  # negative value
+        for bad in (math.nan, math.inf):  # a NaN radius would pass every comparison
+            with pytest.raises(ValueError):
+                TabulatedOmega(((0.0, 0.1), (bad, 0.5)))
+            with pytest.raises(ValueError):
+                TabulatedOmega(((0.0, 0.1), (1.0, 0.2), (bad, 0.5)))
 
     def test_one_knot_rejected(self):
         # a single knot covers no radius above 0, so no model could hold it

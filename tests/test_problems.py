@@ -7,7 +7,7 @@ import pytest
 
 from fixedslope.certificate import certify
 from fixedslope.errors import BadParameters, UnknownFixture
-from fixedslope.norms import vector_norm
+from fixedslope.norms import vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture, fixture_names
 from fixedslope.solver import estimate_majorant, estimate_omega, fsi_solve
 
@@ -37,6 +37,23 @@ class TestCatalog:
             build_fixture("chandrasekhar", c=1.5)
         with pytest.raises(BadParameters):
             build_fixture("poly2d", coupling=(0.0, 1.0))
+
+
+class TestStackContract:
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_stack_matches_row_by_row_calls(self, name, norm):
+        problem = build_fixture(name, norm=norm).problem
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((9, problem.dim))
+        radius = problem.R * rng.random(9) / vector_norms(d, norm)
+        points = problem.x0 + radius[:, None] * d  # strictly inside the ball
+        for fn, tail in [(problem.f, ()), (problem.jacobian, (problem.dim,))]:
+            stacked = fn(points)
+            assert stacked.shape == points.shape + tail
+            for one in (lambda x: fn(x[None])[0], fn):  # a one-row stack, a point
+                rows = np.array([one(x) for x in points])
+                assert rows.tobytes() == stacked.tobytes()
 
 
 class TestScalarQuadratic:

@@ -22,3 +22,11 @@ def test_command_lines_run(tmp_path, monkeypatch):
     assert len(commands) >= 5
     for line in commands:
         assert main(shlex.split(line)) == 0, line
+
+
+def test_spec_file_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (spec,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    (tmp_path / "spec.json").write_text(spec)
+    for command in ("certify", "solve"):
+        assert main([command, "spec.json"]) == 0, command
