@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import majorant
-from .majorant import ROOT_TOL, HoelderOmega, MajorantModel
+from .majorant import HoelderOmega, MajorantModel
 
 PREVIEW_TERMS = 16
 
@@ -101,7 +101,7 @@ def holder_eta_max(l0, alpha, nu):
     return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
 
 
-def _holder_roots_unclipped(p, tol):
+def _holder_roots_unclipped(p):
     """Both roots of g for a Hoelder measure, on the full half-line.
 
     The caller must have checked check_holder_condition(p): the roots
@@ -121,7 +121,7 @@ def _holder_roots_unclipped(p, tol):
     hi = 2.0 * r_bar
     while majorant.g(p.model(hi), hi) <= 0.0:
         hi *= 2.0
-    roots = majorant.analyze(p.model(hi), tol).require_root("nothing to bracket")
+    roots = majorant.analyze(p.model(hi)).require_root("nothing to bracket")
     return roots.nu_star, roots.nu_star_star
 
 
@@ -144,7 +144,7 @@ def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):
     )
 
 
-def certify(model, tol=ROOT_TOL):
+def certify(model):
     """Assemble the convergence certificate for a majorant model.
 
     Outcomes: nu_too_large when omega(0) >= 1; radius_too_small when the
@@ -152,19 +152,17 @@ def certify(model, tol=ROOT_TOL):
     the radius that would be needed); constraint_a_fails when the majorant
     never dips below the identity; otherwise a certified bundle with the
     radii, boundary type and the first PREVIEW_TERMS majorizing terms.
-    Raises ValueError for a negative or non-finite tol.
     """
-    majorant._check_root_tol(tol)
     nu = majorant.nu_of(model)
     if nu >= 1.0:
         return not_certified(REASON_NU_TOO_LARGE, nu, model.eta, model.R, model=model)
-    roots = majorant.analyze(model, tol)
+    roots = majorant.analyze(model)
     if roots.nu_star is None:
         reason, needed = REASON_CONSTRAINT_A, None
         if isinstance(model.omega, HoelderOmega):
             p = HoelderParams(model.omega.l0, model.omega.alpha, nu, model.eta)
             if check_holder_condition(p):
-                needed = _holder_roots_unclipped(p, tol)[0]
+                needed = _holder_roots_unclipped(p)[0]
                 reason = REASON_RADIUS_TOO_SMALL
         return not_certified(reason, nu, model.eta, model.R, roots.gamma_star, needed, model)
     preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import MISSING, fields
 
-from . import __version__, majorant
+from . import __version__
 from .certificate import (
     REASON_NU_TOO_LARGE,
     ConvergenceCertificate,
@@ -25,7 +25,7 @@ from .certificate import (
     certify,
     not_certified,
 )
-from .comparison import compare_report
+from .comparison import ORDER_STATED, compare_report
 from .errors import (
     BadParameters,
     FixedSlopeError,
@@ -36,6 +36,8 @@ from .errors import (
 from .norms import NORM_KINDS
 from .problems import analytic_model, build_fixture, fixture_names, fixture_schema
 from .solver import (
+    DEFAULT_NUM_RADII,
+    DEFAULT_SAMPLES,
     StoppingRule,
     default_radii,
     estimate_majorant,
@@ -160,6 +162,12 @@ def _load_fixture(args):
     return build_fixture(name, norm=args.norm, **params)
 
 
+def _sampling(fixture, args):
+    """Estimator keywords from --radii, --samples and --seed."""
+    return dict(radii=default_radii(fixture.problem.R, args.radii),
+                samples_per_radius=args.samples, seed=args.seed)
+
+
 def _obtain_model(fixture, args):
     """Majorant model per --measure: fixture closed form or estimated."""
     measure = args.measure
@@ -167,18 +175,10 @@ def _obtain_model(fixture, args):
         measure = "analytic" if fixture.analytic is not None else "direct"
     if measure == "analytic":
         return analytic_model(fixture)
-    radii = default_radii(fixture.problem.R, args.radii)
-    return estimate_majorant(
-        fixture.problem,
-        mode=measure,
-        radii=radii,
-        samples_per_radius=args.samples,
-        seed=args.seed,
-    )
+    return estimate_majorant(fixture.problem, mode=measure, **_sampling(fixture, args))
 
 
 def _cmd_certify(args):
-    majorant._check_root_tol(args.root_tol)  # a refusal at x0 never reaches certify
     fixture = _load_fixture(args)
     try:
         model = _obtain_model(fixture, args)
@@ -190,7 +190,7 @@ def _cmd_certify(args):
         _write_json(certificate_to_doc(cert), args.out)
         print(f"not certified ({cert.reason}: nu={cert.nu!r}) -> {args.out}")
         return EXIT_NOT_CERTIFIED
-    cert = certify(model, args.root_tol)
+    cert = certify(model)
     _write_json(certificate_to_doc(cert), args.out)
     if cert.certified:
         print(
@@ -203,13 +203,12 @@ def _cmd_certify(args):
 
 
 def _cmd_solve(args):
-    majorant._check_root_tol(args.root_tol)
     fixture = _load_fixture(args)
     cert = None
     cert_note = "none requested"
     if not args.no_certificate:
         try:
-            cert = certify(_obtain_model(fixture, args), args.root_tol)
+            cert = certify(_obtain_model(fixture, args))
         except FixedSlopeError as exc:
             cert, cert_note = None, f"unobtainable: {exc}"
         else:
@@ -221,7 +220,7 @@ def _cmd_solve(args):
     solution, trace = fsi_solve(fixture.problem, stop, cert)
     report = None
     if cert is not None and trace.num_steps > 0:
-        report = verify_majorization(trace, cert.model, args.root_tol)
+        report = verify_majorization(trace, cert.model)
     _write_lines(trace_to_csv_lines(trace, report), args.trace)
 
     doc = {
@@ -275,7 +274,7 @@ def _format_compare_table(rep):
     ]:
         lines.append(f"{label:<13} {num(value)}")
     lines.append(f"containment [r*, r**] in [nu*, nu**]: {yn(rep.containment_holds)}")
-    lines.append(f"root order as stated elsewhere: {rep.order_stated}")
+    lines.append(f"root order as stated elsewhere: {ORDER_STATED}")
     lines.append(f"root order computed here:       {rep.order_computed or 'n/a'}")
     return "\n".join(lines)
 
@@ -298,7 +297,7 @@ def _cmd_compare(args):
         raise BadParameters(str(exc)) from exc
     if params:
         raise BadParameters(f"unknown compare parameters: {sorted(params)}")
-    rep = compare_report(p, R, args.root_tol, delta)
+    rep = compare_report(p, R, delta=delta)
     _write_json(_to_doc("comparison", rep), args.out)
     print(_format_compare_table(rep))
     print(f"-> {args.out}")
@@ -307,14 +306,7 @@ def _cmd_compare(args):
 
 def _cmd_estimate(args):
     fixture = _load_fixture(args)
-    radii = default_radii(fixture.problem.R, args.radii)
-    omega = estimate_omega(
-        fixture.problem,
-        mode=args.mode,
-        radii=radii,
-        samples_per_radius=args.samples,
-        seed=args.seed,
-    )
+    omega = estimate_omega(fixture.problem, mode=args.mode, **_sampling(fixture, args))
     lines = ["radius,value"] + [f"{r!r},{w!r}" for r, w in omega.knots]
     _write_lines(lines, args.out)
     print(f"{len(omega.knots)} knots ({args.mode} mode) -> {args.out}")
@@ -332,15 +324,14 @@ def _add_problem_arguments(sub, with_measure=True):
     sub.add_argument("params", nargs="*", help="fixture parameters as key=value")
     sub.add_argument("--norm", choices=NORM_KINDS, default="max")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--radii", type=int, default=24,
+    sub.add_argument("--radii", type=int, default=DEFAULT_NUM_RADII,
                      help="number of estimation radii (uniform up to R)")
-    sub.add_argument("--samples", type=int, default=64,
+    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                      help="sphere samples per radius for estimation")
     if with_measure:
         sub.add_argument("--measure", choices=("auto", "analytic", "direct", "centered"),
                          default="auto",
                          help="where the continuity measure comes from")
-        sub.add_argument("--root-tol", type=float, default=majorant.ROOT_TOL)
 
 
 def _build_parser():
@@ -360,9 +351,9 @@ def _build_parser():
     _add_problem_arguments(solve)
     solve.add_argument("--no-certificate", action="store_true",
                        help="do not attach a certificate even if obtainable")
-    solve.add_argument("--tol-step", type=float, default=1e-12)
-    solve.add_argument("--tol-residual", type=float, default=1e-12)
-    solve.add_argument("--max-iter", type=int, default=10000)
+    solve.add_argument("--tol-step", type=float, default=StoppingRule.tol_step)
+    solve.add_argument("--tol-residual", type=float, default=StoppingRule.tol_residual)
+    solve.add_argument("--max-iter", type=int, default=StoppingRule.max_iter)
     solve.add_argument("--trace", default="trace.csv")
     solve.add_argument("--report", default="solve_report.json")
     solve.set_defaults(func=_cmd_solve)
@@ -370,7 +361,6 @@ def _build_parser():
     comp = subs.add_parser("compare", help="compare certification conditions")
     comp.add_argument("params", nargs="+",
                       help="l0=... eta=... [alpha=1] [nu=0] [delta=nu] [R=10]")
-    comp.add_argument("--root-tol", type=float, default=majorant.ROOT_TOL)
     comp.add_argument("--out", default="comparison.json")
     comp.set_defaults(func=_cmd_compare)
 

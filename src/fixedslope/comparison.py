@@ -15,8 +15,8 @@ f > g for v > 0, so the f-based condition is strictly stronger; the
 admissible eta shrinks by the factor (1+alpha)^(1/alpha), i.e. by 2 in
 the Lipschitz case.  The same pointwise gap forces the computed root
 order nu_star <= r_star <= r_star_star <= nu_star_star; the rival
-write-up states r_star < nu_star instead, so the report carries both the
-stated and the computed ordering rather than asserting either.
+write-up states r_star < nu_star instead (ORDER_STATED), so the report
+gives the computed ordering rather than asserting either.
 """
 
 from dataclasses import dataclass
@@ -61,21 +61,19 @@ class ConditionReport:
     r_star_star: float | None
     eta_max_ratio: float | None
     containment_holds: bool | None  # [r*, r**] inside [nu*, nu**]
-    order_stated: str
     order_computed: str | None
 
 
-def compare_report(p, R, tol=ROOT_TOL, delta=None):
+def compare_report(p, R, *, delta=None):
     """Evaluate all conditions and radii on one parameter set.
 
     Radii that do not exist (condition fails, or the root lies beyond R
     and is clipped there) are reported as the clipped value or None; the
     containment check runs only when all four roots are strictly inside R.
-    Raises ValueError for a bad tol or R, even when no condition holds.
+    Raises ValueError for a bad R, even when no condition holds.
     """
-    majorant._check_root_tol(tol)
     model = p.model(R)
-    d = p.nu if delta is None else delta
+    rival = _rival_params(p, delta)
     new_holds = check_holder_condition(p)
     new_emax = holder_eta_max(p.l0, p.alpha, p.nu)
     rival_holds, rival_emax = ahues_condition(p, delta)
@@ -85,14 +83,13 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
 
     ns = nss = lam = None
     if new_holds:
-        roots = majorant.analyze(model, tol)
+        roots = majorant.analyze(model)
         ns, lam = roots.nu_star, roots.lambda_star
         if ns is not None:
             nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
-        rival = certificate._holder_roots_unclipped(_rival_params(p, delta), tol)
-        rs, rss = min(rival[0], R), min(rival[1], R)
+        rs, rss = (min(r, R) for r in certificate._holder_roots_unclipped(rival))
 
     ratio = None
     if 0.0 < rival_emax < float("inf"):
@@ -101,7 +98,7 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
     containment = None
     order = None
     if None not in (ns, nss, rs, rss):
-        pad = 10.0 * tol * max(1.0, p.eta)
+        pad = 10.0 * ROOT_TOL * max(1.0, p.eta)
         if max(nss, rss) < R:  # all roots interior, comparison meaningful
             containment = (ns <= rs + pad) and (rss <= nss + pad)
         order = "nu_star <= r_star" if ns <= rs + pad else "r_star < nu_star"
@@ -110,7 +107,7 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
         l0=p.l0,
         alpha=p.alpha,
         nu=p.nu,
-        delta=d,
+        delta=rival.nu,
         eta=p.eta,
         R=R,
         new_holds=new_holds,
@@ -125,6 +122,5 @@ def compare_report(p, R, tol=ROOT_TOL, delta=None):
         r_star_star=rss,
         eta_max_ratio=ratio,
         containment_holds=containment,
-        order_stated=ORDER_STATED,
         order_computed=order,
     )

@@ -19,7 +19,10 @@ endpoint signs are known:
 
 A minimal root exists iff g(gamma_star) <= 0; when that minimum sits on
 zero the two roots merge (double root) and the bisection bracket
-degenerates, so the root is read off at gamma_star directly.  analyze()
+degenerates, so the root is read off at gamma_star directly.  ROOT_TOL is
+the one tangency tolerance: a minimum within ROOT_TOL * max(1, eta) of
+zero counts as a double root, which absorbs rounding at eta = eta_max;
+bisection still runs to full floating-point precision.  analyze()
 computes all three radii in one pass; majorizing_terms() is the one
 generator of the majorizing sequence v_{k+1} = phi(v_k).
 """
@@ -236,16 +239,10 @@ class RootAnalysis:
         return self
 
 
-def _check_root_tol(tol):
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise ValueError(f"root tolerance must be finite and >= 0, got {tol}")
-
-
-def _left_bracket(model, tol):
+def _left_bracket(model):
     """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
-    _check_root_tol(tol)
     gam = gamma_star(model)
-    stol = tol * max(1.0, model.eta)
+    stol = ROOT_TOL * max(1.0, model.eta)
     g_gam = g(model, gam)
     if g_gam > stol:
         ns = None
@@ -256,17 +253,17 @@ def _left_bracket(model, tol):
     return gam, stol, g_gam, ns
 
 
-def minimal_root(model, tol=ROOT_TOL):
+def minimal_root(model):
     """Minimal root nu_star of g on [0, R], or None when g has no root.
 
-    A minimum g(gamma_star) within tol*max(1, eta) of zero is a double
-    root and is returned as gamma_star itself (bisection cannot resolve
-    it better).  Raises ValueError for a negative or non-finite tol.
+    A minimum g(gamma_star) within ROOT_TOL*max(1, eta) of zero is a
+    double root and is returned as gamma_star itself (bisection cannot
+    resolve it better).
     """
-    return _left_bracket(model, tol)[3]
+    return _left_bracket(model)[3]
 
 
-def analyze(model, tol=ROOT_TOL):
+def analyze(model):
     """RootAnalysis of g from one g(gamma_star) and at most two bisections.
 
     The interval past nu_star where g < 0 decides the uniqueness radius:
@@ -275,7 +272,7 @@ def analyze(model, tol=ROOT_TOL):
     is R, still closed since phi(R) < R; otherwise it ends at the maximal
     root, where phi is a fixed point and only the open ball is claimed.
     """
-    gam, stol, g_gam, ns = _left_bracket(model, tol)
+    gam, stol, g_gam, ns = _left_bracket(model)
     if ns is None:
         return RootAnalysis(gam, None, None, None, None)
     if abs(g_gam) <= stol:
@@ -288,7 +285,7 @@ def analyze(model, tol=ROOT_TOL):
             nss = model.R
         else:
             nss = _bisect_boundary(lambda v: g(model, v), gam, model.R, lo_positive=False)
-    band = max(10.0 * tol * max(1.0, model.eta), _MERGE_BAND_REL * model.eta)
+    band = max(10.0 * ROOT_TOL * max(1.0, model.eta), _MERGE_BAND_REL * model.eta)
     if g_gam >= -band:
         lam, case = ns, "B1"
     elif nss is None:

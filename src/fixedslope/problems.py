@@ -314,12 +314,25 @@ def fixture_schema(name):
         raise UnknownFixture(f"unknown fixture {name!r}; known: {fixture_names()}")
 
 
+def _finite(value):
+    """False for a float, or a list or tuple holding one, that is nan or infinite."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def build_fixture(name, norm="max", **params):
-    """Build a bundled fixture by name; unknown names or stray/bad parameters raise."""
+    """Build a bundled fixture by name; unknown names or stray/bad parameters raise.
+
+    A nan or infinite number is refused here, before any builder runs.
+    """
     try:
         builder = _BUILDERS[name][0]
     except KeyError:
         raise UnknownFixture(f"unknown fixture {name!r}; known: {fixture_names()}")
+    for key, value in params.items():
+        if not _finite(value):
+            raise BadParameters(f"fixture parameter {key!r} must be finite, got {value!r}")
     try:
         return builder(norm, **params)
     except TypeError as exc:

@@ -55,6 +55,7 @@ MODE_DIRECT = "direct"
 MODE_CENTERED = "centered"
 
 DEFAULT_NUM_RADII = 24
+DEFAULT_SAMPLES = 64
 
 # The estimator applies B and the norm to stacks of sampled Jacobians of at
 # most this many floats (64 KiB), so its memory does not grow with the budget.
@@ -300,19 +301,18 @@ class MajorizationReport:
     tail_slacks: list | None = None
 
 
-def verify_majorization(trace, model, tol=majorant.ROOT_TOL):
+def verify_majorization(trace, model):
     """Check the majorization inequalities of a trace against a model.
 
-    The scalar sequence and nu_star (at root tolerance tol) are computed
-    from the model, so the trace does not need to have been produced with
-    a certificate attached.  A model that fails the trace is reported,
-    not raised; only a model that cannot be certified at all raises
-    CertificateMissing.
+    The scalar sequence and nu_star are computed from the model, so the
+    trace does not need to have been produced with a certificate
+    attached.  A model that fails the trace is reported, not raised; only
+    a model that cannot be certified at all raises CertificateMissing.
     """
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
     try:
-        ns = majorant.minimal_root(model, tol)
+        ns = majorant.minimal_root(model)
     except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
@@ -374,11 +374,12 @@ def _sphere_points(problem, radius, samples, rng):
     return problem.x0 + radius * np.array(directions)
 
 
-def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64, seed=0):
+def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEFAULT_SAMPLES,
+                   seed=0):
     """Sample-based tabulated continuity measure.
 
     mode "direct" tabulates max ||B F'(x) - I|| over sampled spheres
-    (value at radius 0 is nu itself); mode "centered" tabulates
+    (value at radius 0 is nu itself, of any size); mode "centered" tabulates
     max ||B (F'(x) - F'(x0))|| with value 0 at radius 0.  Values are made
     non-decreasing by a running maximum.  Sampling can only underestimate
     the true supremum, so the result is a lower envelope of the measure.
@@ -399,7 +400,7 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=64,
 
     n = problem.dim
     if mode == MODE_DIRECT:
-        base = _contraction_at_start(problem)
+        base = nu_at_start(problem)
         shift = np.eye(n)
     else:
         base = 0.0
@@ -441,28 +442,21 @@ def eta_at_start(problem):
     return vector_norm(problem.slope @ r[0], problem.norm)
 
 
-def _contraction_at_start(problem):
-    """nu_at_start, refused unless it is below 1."""
-    nu = nu_at_start(problem)
-    if nu >= 1.0:
-        raise NuNotContractive(
-            f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0"
-        )
-    return nu
-
-
-def estimate_majorant(problem, mode=MODE_CENTERED, radii=None, samples_per_radius=64, seed=0):
+def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
+                      samples_per_radius=DEFAULT_SAMPLES, seed=0):
     """Tabulated majorant model with the tight first-step bound.
 
     eta is computed as exactly ||B F(x0)||.  In centered mode the measure
     is the centered estimate shifted up by nu = ||B F'(x0) - I||, which
     dominates the direct estimate pointwise by the triangle inequality.
+    Either mode refuses nu >= 1 before sampling.
     """
     eta = eta_at_start(problem)
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
-    if mode == MODE_CENTERED:
-        nu = _contraction_at_start(problem)  # refuse before sampling
+    nu = nu_at_start(problem)
+    if nu >= 1.0:
+        raise NuNotContractive(f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0")
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))

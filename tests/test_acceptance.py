@@ -119,9 +119,9 @@ def test_criterion_3_root_oracle_agreement():
             scan = eta + nu * grid + l0 * grid ** (1.0 + alpha) / (1.0 + alpha) - grid
             flips = np.flatnonzero(np.diff(np.signbit(scan)))
             assert flips.size >= 1
-            ns = minimal_root(model, tol=1e-12)
+            ns = minimal_root(model)
             assert abs(ns - grid[flips[0]]) <= 2.0 * resolution
-            nss = analyze(model, tol=1e-12).nu_star_star
+            nss = analyze(model).nu_star_star
             if flips.size >= 2:
                 assert nss is not None
                 assert abs(nss - grid[flips[-1]]) <= 2.0 * resolution

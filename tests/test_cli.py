@@ -1,6 +1,5 @@
 """Command-line interface: documents, exit codes, determinism."""
 
-import itertools
 import json
 import math
 from dataclasses import fields
@@ -10,7 +9,7 @@ import pytest
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify, not_certified
 from fixedslope.cli import certificate_to_doc, main, read_certificate
 from fixedslope.comparison import ConditionReport
-from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
+from fixedslope.majorant import HoelderOmega, MajorantModel
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import eta_at_start, fsi_solve, nu_at_start
 
@@ -80,19 +79,6 @@ class TestCertify:
                 if f.name != "model":
                     assert getattr(back, f.name) == getattr(cert, f.name), f.name
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_bad_root_tolerance_exit_2(self, tmp_path, monkeypatch, tol):
-        code = run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", f"--root-tol={tol}"])
-        assert code == 2
-        assert not (tmp_path / "certificate.json").exists()
-
-    def test_bad_root_tolerance_exit_2_when_refused_at_x0(self, tmp_path, monkeypatch):
-        # nu = |2 b x0 - 1| = 2: the refusal comes before any root analysis
-        code = run(tmp_path, monkeypatch,
-                   ["certify", "scalar_quadratic", "b=0.5", "x0=3", "--root-tol=-1"])
-        assert code == 2
-        assert not (tmp_path / "certificate.json").exists()
-
     def test_estimated_measure_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch,
                    ["certify", "chandrasekhar", "c=0.9", "n=16", "--norm", "one",
@@ -145,20 +131,6 @@ class TestSolve:
             assert "" not in (v_step, slack, bound)
             assert float(slack) == float(v_step) - float(step)
 
-    def test_root_tol_near_tangency(self, tmp_path, monkeypatch):
-        # g(gamma_star) = 5e-8 > 0: no root at the default tolerance, a double
-        # root nu_star = gamma_star = 1 at --root-tol 1e-6
-        code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "c=2.0000001",
-                                           "x0=1", "b=0.5", "--root-tol", "1e-6"])
-        assert code == 0
-        report = json.loads((tmp_path / "solve_report.json").read_text())
-        assert report["nu_star"] == 1.0
-        assert report["majorization"]["passed"] is True
-        rows = trace_rows(tmp_path / "trace.csv")
-        model = analytic_model(build_fixture("scalar_quadratic", c=2.0000001, x0=1, b=0.5))
-        terms = itertools.islice(majorizing_terms(model), len(rows))
-        assert [float(row[5]) for row in rows] == [1.0 - v for v in terms]
-
     def test_certificate_read_back_solves_like_in_memory(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["certify", "poly2d"]) == 0
         back = read_certificate(tmp_path / "certificate.json")
@@ -183,13 +155,6 @@ class TestSolve:
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["certificate"].startswith("unobtainable")
-
-    def test_bad_root_tolerance_exit_2_when_certificate_unobtainable(self, tmp_path,
-                                                                     monkeypatch):
-        code = run(tmp_path, monkeypatch,
-                   ["solve", "scalar_quadratic", "c=2", "x0=2", "b=0.5", "--root-tol=-1"])
-        assert code == 2
-        assert not (tmp_path / "solve_report.json").exists()
 
     def test_slack_tol_not_an_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--slack-tol", "1e-9"])
@@ -256,21 +221,6 @@ class TestCompare:
         assert keys[:2] == ["schema", "kind"]
         assert keys[2:] == [f.name for f in fields(ConditionReport)]
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_bad_root_tolerance_exit_2(self, tmp_path, monkeypatch, tol):
-        code = run(tmp_path, monkeypatch,
-                   ["compare", "l0=1", "eta=0.3", f"--root-tol={tol}"])
-        assert code == 2
-        assert not (tmp_path / "comparison.json").exists()
-
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_bad_root_tolerance_exit_2_when_no_condition_holds(self, tmp_path, monkeypatch,
-                                                               tol):
-        code = run(tmp_path, monkeypatch,
-                   ["compare", "l0=1", "eta=0.6", f"--root-tol={tol}"])
-        assert code == 2
-        assert not (tmp_path / "comparison.json").exists()
-
     @pytest.mark.parametrize("R", ["nan", "-1", "0", "inf"])
     def test_bad_radius_exit_2_when_no_condition_holds(self, tmp_path, monkeypatch, R):
         code = run(tmp_path, monkeypatch, ["compare", "l0=1", "eta=0.6", f"R={R}"])
@@ -327,17 +277,39 @@ class TestEstimateOmega:
         assert code == 2
         assert "number of radii must be >= 1" in capsys.readouterr().err
 
-    def test_root_tol_not_an_option(self, tmp_path, monkeypatch):
+    def test_non_contractive_start_is_measured(self, tmp_path, monkeypatch):
+        # nu = |2 b x0 - 1| = 2: direct mode measures it, only certify refuses
         code = run(tmp_path, monkeypatch,
-                   ["estimate-omega", "scalar_quadratic", "--root-tol", "1e-9"])
-        assert code == 2
-        assert not (tmp_path / "omega.csv").exists()
+                   ["estimate-omega", "scalar_quadratic", "x0=3", "b=0.5"])
+        assert code == 0
+        assert (tmp_path / "omega.csv").read_text().splitlines()[1] == "0.0,2.0"
 
-    def test_non_contractive_exit_3(self, tmp_path, monkeypatch):
-        # nu = 1 at the start: direct estimation is a runtime refusal
-        code = run(tmp_path, monkeypatch,
-                   ["estimate-omega", "scalar_quadratic", "x0=2", "b=0.5"])
-        assert code == 3
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "scalar_quadratic"],
+    ["solve", "scalar_quadratic"],
+    ["compare", "l0=1", "eta=0.3"],
+    ["estimate-omega", "scalar_quadratic"],
+], ids=lambda argv: argv[0])
+def test_root_tol_not_an_option(tmp_path, monkeypatch, capsys, argv):
+    # the tangency tolerance is the constant majorant.ROOT_TOL
+    assert run(tmp_path, monkeypatch, argv + ["--root-tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --root-tol" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["certify", "scalar_quadratic", "c=nan"], "c"),
+    (["solve", "scalar_quadratic", "c=nan"], "c"),
+    (["certify", "scalar_holder", "a=nan"], "a"),
+    (["certify", "poly2d", "lin=inf,4"], "lin"),
+])
+def test_non_finite_fixture_parameter_exit_2(tmp_path, monkeypatch, capsys, argv, key):
+    assert run(tmp_path, monkeypatch, argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixture parameter {key!r} must be finite")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 class TestListProblems:

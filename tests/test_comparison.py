@@ -88,11 +88,11 @@ class TestCompareReport:
         rep2 = compare_report(HoelderParams(1.0, 1.0, 0.2, 0.01), R=10.0)
         assert rep2.kantorovich_holds is None
 
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
-    def test_bad_tolerance_rejected_without_bisection(self, tol):
-        p = HoelderParams(1.0, 1.0, 0.0, 0.6)  # neither condition holds
-        with pytest.raises(ValueError):
-            compare_report(p, 10.0, tol)
+    def test_delta_is_keyword_only(self):
+        p = HoelderParams(1.0, 1.0, 0.0, 0.3)
+        with pytest.raises(TypeError):
+            compare_report(p, 10.0, 0.1)
+        assert compare_report(p, 10.0, delta=0.1).delta == 0.1
 
 
 class TestProperties:

@@ -301,9 +301,11 @@ class TestEstimateOmega:
                 estimate_omega(linear, "direct", radii=bad)
 
     def test_nu_not_contractive(self):
+        # estimate_omega only measures; estimate_majorant refuses the start
         p = quad_problem(x0=2.0, b=0.5)  # |2 b x0 - 1| = 1
+        assert estimate_omega(p, "direct", radii=[0.5]).knots[0] == (0.0, 1.0)
         with pytest.raises(NuNotContractive):
-            estimate_omega(p, "direct", radii=[0.5])
+            estimate_majorant(p, mode="direct", radii=[0.5])
 
     def test_estimator_consistency_two_percent(self):
         # analytic measures are reproduced within 2% at every radius
@@ -355,7 +357,8 @@ class TestEstimateMajorant:
         assert m.omega.value(0.0) <= 1e-12  # nu is ~0 for the exact inverse slope
         assert m.R == fx.problem.R
 
-    def test_centered_mode_refuses_before_sampling(self):
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    def test_each_mode_refuses_before_sampling(self, mode):
         problem = quad_problem(b=0.5)  # x0 = 2: nu = |2 b x0 - 1| = 1
         calls = []
 
@@ -366,7 +369,7 @@ class TestEstimateMajorant:
         counted = Problem(f=problem.f, slope=problem.slope, x0=problem.x0,
                           R=problem.R, jacobian=jacobian)
         with pytest.raises(NuNotContractive):
-            estimate_majorant(counted, mode="centered")
+            estimate_majorant(counted, mode=mode)
         assert len(calls) <= 2
 
     def test_solved_start_rejected(self):
