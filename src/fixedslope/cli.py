@@ -42,9 +42,7 @@ from .solver import (
     default_radii,
     estimate_majorant,
     estimate_omega,
-    eta_at_start,
     fsi_solve,
-    nu_at_start,
     verify_majorization,
 )
 
@@ -125,7 +123,7 @@ def trace_to_csv_lines(trace, report=None):
 def _parse_value(text):
     parts = text.split(",")
     if len(parts) > 1:
-        return tuple(float(p) for p in parts)
+        return tuple(_parse_value(p) for p in parts)
     try:
         return int(text)
     except ValueError:
@@ -182,11 +180,9 @@ def _cmd_certify(args):
     fixture = _load_fixture(args)
     try:
         model = _obtain_model(fixture, args)
-    except NuNotContractive:
+    except NuNotContractive as exc:
         # Not certifiable at radius 0; still emit the diagnostic document.
-        problem = fixture.problem
-        cert = not_certified(REASON_NU_TOO_LARGE, nu_at_start(problem),
-                             eta_at_start(problem), problem.R)
+        cert = not_certified(REASON_NU_TOO_LARGE, exc.nu, exc.eta, fixture.problem.R)
         _write_json(certificate_to_doc(cert), args.out)
         print(f"not certified ({cert.reason}: nu={cert.nu!r}) -> {args.out}")
         return EXIT_NOT_CERTIFIED

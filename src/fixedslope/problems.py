@@ -12,6 +12,7 @@ Fixture builders may invert a small dense matrix to construct the slope
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -249,6 +250,8 @@ def _chandrasekhar(norm, c=0.9, n=16, R=None):
     trust radius is sized per norm to contain the solution.
     """
     c = float(c)
+    if n != int(n):
+        raise BadParameters(f"fixture parameter 'n' must be finite and whole, got {n!r}")
     n = int(n)
     if R is None:
         R = {"max": 2.0, "one": 24.0, "two": 6.0}[norm]
@@ -315,24 +318,25 @@ def fixture_schema(name):
 
 
 def _finite(value):
-    """False for a float, or a list or tuple holding one, that is nan or infinite."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+    """True for a finite number, or a list, tuple or array holding only finite numbers."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(map(_finite, np.asarray(value, dtype=object).ravel()))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def build_fixture(name, norm="max", **params):
     """Build a bundled fixture by name; unknown names or stray/bad parameters raise.
 
-    A nan or infinite number is refused here, before any builder runs.
+    A value that is neither None nor finite numbers (nan, infinity, text)
+    is refused here, naming its key, before any builder runs.
     """
     try:
         builder = _BUILDERS[name][0]
     except KeyError:
         raise UnknownFixture(f"unknown fixture {name!r}; known: {fixture_names()}")
     for key, value in params.items():
-        if not _finite(value):
-            raise BadParameters(f"fixture parameter {key!r} must be finite, got {value!r}")
+        if value is not None and not _finite(value):
+            raise BadParameters(f"fixture parameter {key!r} must be finite numbers, got {value!r}")
     try:
         return builder(norm, **params)
     except TypeError as exc:

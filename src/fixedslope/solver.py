@@ -9,7 +9,8 @@ One private kernel runs the iteration on a stack of starts, each row with
 its own trust ball and its own stop: fsi_solve is its one-row case, and
 uniqueness_probe runs all its starts together as rows, each with trust
 radius rho + lambda_star (rho = the start's distance from x0).  F and B
-are each applied to all live rows at once.
+are each applied to all live rows at once.  The estimator's sphere
+directions and the probe's starts are each drawn as one stack per call.
 
 A solve can carry a convergence certificate.  The trust region then
 shrinks to the certified ball: an iterate trying to leave it is a model
@@ -326,9 +327,8 @@ def verify_majorization(trace, model):
     worst = min(step_slacks)
     tail_slacks = None
     if trace.converged:
-        vn = lambda v: vector_norm(v, trace.norm)
-        x_final = trace.iterates[-1]
-        tail_slacks = [error_bounds[k] - vn(x_final - trace.iterates[k]) for k in steps]
+        tails = vector_norms(trace.iterates[-1] - np.array(trace.iterates[:-1]), trace.norm)
+        tail_slacks = (np.array(error_bounds) - tails).tolist()
         worst = min(worst, min(tail_slacks))
     return MajorizationReport(
         passed=worst >= -_SLACK and trace.stop_reason != STOP_LEFT_BALL,
@@ -339,6 +339,12 @@ def verify_majorization(trace, model):
         step_slacks=step_slacks,
         tail_slacks=tail_slacks,
     )
+
+
+def _unit_directions(problem, k, rng):
+    """k seeded Gaussian directions of unit length in the problem norm, as a (k, n) stack."""
+    d = rng.standard_normal((k, problem.dim))
+    return d / vector_norms(d, problem.norm)[:, None]
 
 
 def _sphere_points(problem, radius, samples, rng):
@@ -354,24 +360,14 @@ def _sphere_points(problem, radius, samples, rng):
     n = problem.dim
     if n == 1:
         return problem.x0 + radius * np.array([[-1.0], [1.0]])
-    directions = []
     if problem.norm == "one":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                d = np.zeros(n)
-                d[j] = sign
-                directions.append(d)
+        extreme = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     elif problem.norm == "max":
-        directions.extend(rng.choice([-1.0, 1.0], size=n)
-                          for _ in range((samples + 1) // 2))
-    while len(directions) < samples:
-        d = rng.standard_normal(n)
-        nd = vector_norm(d, problem.norm)
-        while nd == 0.0:  # pragma: no cover - probability zero
-            d = rng.standard_normal(n)
-            nd = vector_norm(d, problem.norm)
-        directions.append(d / nd)
-    return problem.x0 + radius * np.array(directions)
+        extreme = rng.choice([-1.0, 1.0], size=((samples + 1) // 2, n))
+    else:
+        extreme = np.empty((0, n))
+    gaussian = _unit_directions(problem, max(0, samples - len(extreme)), rng)
+    return problem.x0 + radius * np.concatenate([extreme, gaussian])
 
 
 def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEFAULT_SAMPLES,
@@ -449,14 +445,15 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
     eta is computed as exactly ||B F(x0)||.  In centered mode the measure
     is the centered estimate shifted up by nu = ||B F'(x0) - I||, which
     dominates the direct estimate pointwise by the triangle inequality.
-    Either mode refuses nu >= 1 before sampling.
+    Either mode refuses nu >= 1 before sampling, with nu and eta on the error.
     """
     eta = eta_at_start(problem)
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
     nu = nu_at_start(problem)
     if nu >= 1.0:
-        raise NuNotContractive(f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0")
+        raise NuNotContractive(f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0",
+                               nu=nu, eta=eta)
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))
@@ -481,19 +478,10 @@ class UniquenessReport:
 
 def _probe_starts(problem, lambda_star, num_starts, seed):
     """x0, then num_starts - 1 seeded points uniform inside radius lambda_star * (1 - 1e-6)."""
-    vn = lambda v: vector_norm(v, problem.norm)
     rng = np.random.default_rng(seed)
-    reach = lambda_star * (1.0 - 1e-6)
-    starts = [problem.x0]
-    for _ in range(num_starts - 1):
-        d = rng.standard_normal(problem.dim)
-        nd = vn(d)
-        while nd == 0.0:  # pragma: no cover - probability zero
-            d = rng.standard_normal(problem.dim)
-            nd = vn(d)
-        radius = reach * rng.random() ** (1.0 / problem.dim)
-        starts.append(problem.x0 + (radius / nd) * d)
-    return np.array(starts)
+    directions = _unit_directions(problem, num_starts - 1, rng)
+    radii = lambda_star * (1.0 - 1e-6) * rng.random(num_starts - 1) ** (1.0 / problem.dim)
+    return np.concatenate([problem.x0[None], problem.x0 + radii[:, None] * directions])
 
 
 def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None):

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -54,6 +54,28 @@ class TestCertify:
         doc = json.loads((tmp_path / "certificate.json").read_text())
         assert doc["reason"] == "nu_too_large"
         assert doc["nu"] == 1.0
+
+    def test_refusal_evaluates_the_start_once(self, tmp_path, monkeypatch):
+        # nu = |2 b x0 - 1| = 2: the estimator measures the start and refuses
+        calls = {"f": 0, "jacobian": 0}
+
+        def counted(key, fn):
+            def wrapped(x):
+                calls[key] += 1
+                return fn(x)
+            return wrapped
+
+        def counting_fixture(name, **kw):
+            fx = build_fixture(name, **kw)
+            p = fx.problem
+            return replace(fx, problem=replace(p, f=counted("f", p.f),
+                                               jacobian=counted("jacobian", p.jacobian)))
+
+        monkeypatch.setattr("fixedslope.cli.build_fixture", counting_fixture)
+        code = run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "b=0.5", "x0=3"])
+        assert code == 1
+        assert json.loads((tmp_path / "certificate.json").read_text())["nu"] == 2.0
+        assert calls == {"f": 1, "jacobian": 1}
 
     def test_round_trip_bit_for_bit(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch, ["certify", "scalar_quadratic"])
@@ -303,6 +325,9 @@ def test_root_tol_not_an_option(tmp_path, monkeypatch, capsys, argv):
     (["solve", "scalar_quadratic", "c=nan"], "c"),
     (["certify", "scalar_holder", "a=nan"], "a"),
     (["certify", "poly2d", "lin=inf,4"], "lin"),
+    (["certify", "scalar_quadratic", "c=abc"], "c"),
+    (["certify", "chandrasekhar", "n=2.5"], "n"),
+    (["certify", "linear", "b_vec=3,x"], "b_vec"),
 ])
 def test_non_finite_fixture_parameter_exit_2(tmp_path, monkeypatch, capsys, argv, key):
     assert run(tmp_path, monkeypatch, argv) == 2
@@ -310,6 +335,16 @@ def test_non_finite_fixture_parameter_exit_2(tmp_path, monkeypatch, capsys, argv
     assert err.startswith(f"error: fixture parameter {key!r} must be finite")
     assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_non_numeric_spec_file_parameter_exit_2(tmp_path, monkeypatch, capsys):
+    spec = {"fixture": "linear", "params": {"b_vec": [3, "x"]}}
+    (tmp_path / "prob.json").write_text(json.dumps(spec))
+    assert run(tmp_path, monkeypatch, ["certify", "prob.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture parameter 'b_vec' must be finite")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["prob.json"]
 
 
 class TestListProblems:

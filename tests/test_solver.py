@@ -16,7 +16,7 @@ from fixedslope.errors import (
     NuNotContractive,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
-from fixedslope.norms import matrix_norm, vector_norm
+from fixedslope.norms import matrix_norm, vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
     Problem,
@@ -208,6 +208,18 @@ class TestVerifyMajorization:
             report = verify_majorization(trace, model)
             assert report.passed, f"{name}: worst slack {report.worst_slack}"
 
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_tail_slacks_match_per_iterate_loop(self, norm):
+        fx = build_fixture("poly2d", norm=norm)
+        model = analytic_model(fx)
+        _, trace = fsi_solve(fx.problem, cert=certify(model))
+        report = verify_majorization(trace, model)
+        assert trace.converged and trace.num_steps > 2
+        x_final = trace.iterates[-1]
+        expected = [report.error_bounds[k] - vector_norm(x_final - trace.iterates[k], norm)
+                    for k in range(trace.num_steps)]
+        assert report.tail_slacks == expected
+
     def test_single_step_linear_equality(self):
         fx = build_fixture("linear")
         model = analytic_model(fx)
@@ -349,6 +361,37 @@ class TestEstimateOmega:
             assert om.knots == tuple(expected)
 
 
+    @pytest.mark.parametrize("samples", [1, 3, 41])  # 3 < 2n <= 38 < 41
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("n", [2, 19])
+    def test_sphere_points_keep_the_per_direction_stream(self, n, norm, samples):
+        # the sampled points, and so every estimate, are those of drawing one
+        # direction at a time: axis vectors, then corners, then Gaussians
+        def per_direction(problem, radius, rng):
+            directions = []
+            if norm == "one":
+                for j in range(n):
+                    for sign in (1.0, -1.0):
+                        d = np.zeros(n)
+                        d[j] = sign
+                        directions.append(d)
+            elif norm == "max":
+                directions.extend(rng.choice([-1.0, 1.0], size=n)
+                                  for _ in range((samples + 1) // 2))
+            while len(directions) < samples:
+                d = rng.standard_normal(n)
+                directions.append(d / vector_norm(d, norm))
+            return problem.x0 + radius * np.array(directions)
+
+        problem = build_fixture("chandrasekhar", n=n, norm=norm).problem
+        old, new = np.random.default_rng(11), np.random.default_rng(11)
+        for radius in (0.25, 0.5, 1.0):
+            expected = per_direction(problem, radius, old)
+            points = _sphere_points(problem, radius, samples, new)
+            assert points.shape == expected.shape
+            assert points.tobytes() == expected.tobytes()
+
+
 class TestEstimateMajorant:
     def test_centered_mode_shifts_by_nu(self):
         fx = build_fixture("poly2d")
@@ -477,6 +520,18 @@ class TestUniquenessProbe:
         assert probe_calls == max(evaluations) + fallback
         seen = {msg for _, msg in failures} | ({"converged"} if limits else set())
         assert seen == outcomes
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("n", [1, 2, 19])
+    def test_probe_starts_lie_inside_the_ball(self, n, norm):
+        problem = Problem(f=None, slope=np.eye(n), x0=np.linspace(-1.0, 2.0, n), R=1.0,
+                          norm=norm)
+        starts = _probe_starts(problem, 0.6, 50, 3)
+        assert starts.shape == (50, n)
+        assert starts[0].tobytes() == problem.x0.tobytes()
+        assert np.all(vector_norms(starts[1:] - problem.x0, norm) < 0.6 * (1.0 - 1e-6))
+        assert starts.tobytes() == _probe_starts(problem, 0.6, 50, 3).tobytes()
+        assert _probe_starts(problem, 0.6, 1, 3).tobytes() == problem.x0[None].tobytes()
 
     def test_needs_certified(self):
         from fixedslope.errors import NotCertifiedError
