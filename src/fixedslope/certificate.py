@@ -9,18 +9,22 @@ hold, packages the radii that the iteration theory guarantees a priori:
                    whether the ball is closed or open is part of the claim
     gamma_star     radius on which the majorant slope stays below 1
 
-For a Hoelder measure omega(v) = nu + l0 v^alpha the certification
-condition has the closed form
+Every radius, including the nu_star_needed of a radius_too_small refusal,
+comes from majorant.analyze; no closed form decides a certificate.  For a
+Hoelder measure omega(v) = nu + l0 v^alpha the certification condition
+has the closed form
 
     l0 * eta**alpha <= (1 - nu)**(alpha + 1) * (alpha / (1 + alpha))**alpha
 
 with equality at eta = eta_max, the double-root (tangency) case.  At
 alpha = 1, nu = 0 this is the centered Kantorovich condition 2*l0*eta <= 1.
+check_holder_condition and holder_eta_max state it for the comparison
+report.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import majorant
 from .majorant import HoelderOmega, MajorantModel
@@ -94,35 +98,29 @@ def check_holder_condition(p):
 
 
 def holder_eta_max(l0, alpha, nu):
-    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant)."""
+    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
     HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
     if l0 == 0.0:
         return math.inf
-    return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
+    try:
+        return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
-def _holder_roots_unclipped(p):
-    """Both roots of g for a Hoelder measure, on the full half-line.
+def _needed_radius(model, nu):
+    """Minimal root of g past R on the measure's whole domain, or None when g has none.
 
-    The caller must have checked check_holder_condition(p): the roots
-    exist only when it holds.  alpha = 1 is the exact quadratic; l0 = 0 is
-    the affine fixed point with no second root (inf); anything else is
-    bisection on a widened model.
+    g is convex with its minimum where omega reaches 1, so one analysis with
+    R moved there finds the root if any exists.  A measure that stays below
+    1 on an unbounded domain is treated as the constant nu: the affine root.
     """
-    if p.l0 == 0.0:
-        return p.eta / (1.0 - p.nu), math.inf
-    if p.alpha == 1.0:
-        disc = (1.0 - p.nu) ** 2 - 2.0 * p.l0 * p.eta
-        sq = math.sqrt(max(disc, 0.0))
-        return ((1.0 - p.nu) - sq) / p.l0, ((1.0 - p.nu) + sq) / p.l0
-    r_bar = p.omega().radius_where_one()
-    # Widen until g turns positive again; g grows superlinearly so this ends.
-    # The widened model keeps gamma_star = r_bar, so nu_star is unchanged.
-    hi = 2.0 * r_bar
-    while majorant.g(p.model(hi), hi) <= 0.0:
-        hi *= 2.0
-    roots = majorant.analyze(p.model(hi)).require_root("nothing to bracket")
-    return roots.nu_star, roots.nu_star_star
+    reach = min(model.omega.radius_where_one(), model.omega.max_radius())
+    if reach <= model.R:
+        return None
+    if reach == math.inf:
+        return model.eta / (1.0 - nu)
+    return majorant.analyze(replace(model, R=reach)).nu_star
 
 
 def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):
@@ -148,9 +146,9 @@ def certify(model):
     """Assemble the convergence certificate for a majorant model.
 
     Outcomes: nu_too_large when omega(0) >= 1; radius_too_small when the
-    majorant would have a root but only beyond R (Hoelder measures report
-    the radius that would be needed); constraint_a_fails when the majorant
-    never dips below the identity; otherwise a certified bundle with the
+    majorant has a root only beyond R, with nu_star_needed the R that would
+    certify; constraint_a_fails when the majorant never dips below the
+    identity on the measure's domain; otherwise a certified bundle with the
     radii, boundary type and the first PREVIEW_TERMS majorizing terms.
     """
     nu = majorant.nu_of(model)
@@ -158,12 +156,8 @@ def certify(model):
         return not_certified(REASON_NU_TOO_LARGE, nu, model.eta, model.R, model=model)
     roots = majorant.analyze(model)
     if roots.nu_star is None:
-        reason, needed = REASON_CONSTRAINT_A, None
-        if isinstance(model.omega, HoelderOmega):
-            p = HoelderParams(model.omega.l0, model.omega.alpha, nu, model.eta)
-            if check_holder_condition(p):
-                needed = _holder_roots_unclipped(p)[0]
-                reason = REASON_RADIUS_TOO_SMALL
+        needed = _needed_radius(model, nu)
+        reason = REASON_CONSTRAINT_A if needed is None else REASON_RADIUS_TOO_SMALL
         return not_certified(reason, nu, model.eta, model.R, roots.gamma_star, needed, model)
     preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)
     return ConvergenceCertificate(

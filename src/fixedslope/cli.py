@@ -18,21 +18,9 @@ import sys
 from dataclasses import MISSING, fields
 
 from . import __version__
-from .certificate import (
-    REASON_NU_TOO_LARGE,
-    ConvergenceCertificate,
-    HoelderParams,
-    certify,
-    not_certified,
-)
+from .certificate import ConvergenceCertificate, HoelderParams, certify
 from .comparison import ORDER_STATED, compare_report
-from .errors import (
-    BadParameters,
-    FixedSlopeError,
-    NuNotContractive,
-    RadiusOutOfRange,
-    UnknownFixture,
-)
+from .errors import BadParameters, FixedSlopeError, RadiusOutOfRange, UnknownFixture
 from .norms import NORM_KINDS
 from .problems import analytic_model, build_fixture, fixture_names, fixture_schema
 from .solver import (
@@ -177,16 +165,7 @@ def _obtain_model(fixture, args):
 
 
 def _cmd_certify(args):
-    fixture = _load_fixture(args)
-    try:
-        model = _obtain_model(fixture, args)
-    except NuNotContractive as exc:
-        # Not certifiable at radius 0; still emit the diagnostic document.
-        cert = not_certified(REASON_NU_TOO_LARGE, exc.nu, exc.eta, fixture.problem.R)
-        _write_json(certificate_to_doc(cert), args.out)
-        print(f"not certified ({cert.reason}: nu={cert.nu!r}) -> {args.out}")
-        return EXIT_NOT_CERTIFIED
-    cert = certify(model)
+    cert = certify(_obtain_model(_load_fixture(args), args))
     _write_json(certificate_to_doc(cert), args.out)
     if cert.certified:
         print(

@@ -7,7 +7,8 @@ Three conditions are compared on the same Hoelder data (l0, alpha, nu, eta):
   * the Ahues/Argyros fixed-slope condition, built on the steeper
         f(v) = l0 v^(1+alpha) - (1-delta) v + eta ,   delta = nu ,
     which is exactly the majorant condition with l0 inflated by (1+alpha)
-    - that reformulation is how f is handled here;
+    - that reformulation is how f is handled here, so the radii of both
+    sides come from the same majorant.analyze;
   * the classical centered Kantorovich condition 2 l0 eta <= 1
     (Lipschitz case alpha = 1, nu = 0 only).
 
@@ -21,7 +22,7 @@ gives the computed ordering rather than asserting either.
 
 from dataclasses import dataclass
 
-from . import certificate, majorant
+from . import majorant
 from .certificate import HoelderParams, check_holder_condition, holder_eta_max
 from .majorant import ROOT_TOL
 
@@ -67,9 +68,10 @@ class ConditionReport:
 def compare_report(p, R, *, delta=None):
     """Evaluate all conditions and radii on one parameter set.
 
-    Radii that do not exist (condition fails, or the root lies beyond R
-    and is clipped there) are reported as the clipped value or None; the
-    containment check runs only when all four roots are strictly inside R.
+    Each side's radii come from one majorant.analyze on [0, R].  Radii that
+    do not exist are None, except that a rival root beyond R (rival
+    condition holds) and a maximal root beyond R read as R; the containment
+    check runs only when all four roots are strictly inside R.
     Raises ValueError for a bad R, even when no condition holds.
     """
     model = p.model(R)
@@ -89,7 +91,9 @@ def compare_report(p, R, *, delta=None):
             nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
-        rs, rss = (min(r, R) for r in certificate._holder_roots_unclipped(rival))
+        roots = majorant.analyze(rival.model(R))
+        rs = R if roots.nu_star is None else roots.nu_star
+        rss = R if roots.nu_star_star is None else roots.nu_star_star
 
     ratio = None
     if 0.0 < rival_emax < float("inf"):

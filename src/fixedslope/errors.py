@@ -10,11 +10,7 @@ class RadiusOutOfRange(FixedSlopeError):
 
 
 class NuNotContractive(FixedSlopeError):
-    """The measure is >= 1 at radius 0; nu and eta hold the start's values if measured."""
-
-    def __init__(self, message, nu=None, eta=None):
-        super().__init__(message)
-        self.nu, self.eta = nu, eta
+    """The continuity measure is already >= 1 at radius 0."""
 
 
 class NotCertifiedError(FixedSlopeError):

@@ -23,20 +23,24 @@ degenerates, so the root is read off at gamma_star directly.  ROOT_TOL is
 the one tangency tolerance: a minimum within ROOT_TOL * max(1, eta) of
 zero counts as a double root, which absorbs rounding at eta = eta_max;
 bisection still runs to full floating-point precision.  analyze()
-computes all three radii in one pass; majorizing_terms() is the one
-generator of the majorizing sequence v_{k+1} = phi(v_k).
+computes all three radii in one pass and is the package's one root
+finder: certify and compare_report take every radius from it.
+majorizing_terms() is the one generator of the majorizing sequence
+v_{k+1} = phi(v_k).
 """
 
 import bisect
 import math
 from dataclasses import dataclass
 
-from .errors import NotCertifiedError, NuNotContractive, RadiusOutOfRange
+from .errors import NuNotContractive, RadiusOutOfRange
 
 ROOT_TOL = 1e-12
 
-# Maximal bisection steps; brackets collapse to machine width long before.
-_BISECT_STEPS = 200
+# Maximal bisection steps.  Bisection stops once its bracket collapses in
+# floating point: halving [0, hi] onto a root r takes about log2(hi / r) + 53
+# steps, below this cap across the whole double range.
+_BISECT_STEPS = 2200
 
 # Two roots closer than this band (measured on g at its minimum) are merged
 # into a double root; relative to eta it realizes the eta == eta_max
@@ -65,13 +69,19 @@ class HoelderOmega:
 
     def integral(self, v):
         """Exact integral of omega over [0, v]."""
-        return self.nu * v + self.l0 * v ** (1.0 + self.alpha) / (1.0 + self.alpha)
+        try:
+            return self.nu * v + self.l0 * v ** (1.0 + self.alpha) / (1.0 + self.alpha)
+        except OverflowError:  # v**(1 + alpha) overflows where omega(v) * v need not
+            return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
 
     def radius_where_one(self):
-        """Smallest v with omega(v) = 1; inf when omega stays below 1."""
+        """Smallest v with omega(v) = 1; inf when omega stays below 1 on all floats."""
         if self.l0 == 0.0:
             return math.inf
-        return ((1.0 - self.nu) / self.l0) ** (1.0 / self.alpha)
+        try:
+            return ((1.0 - self.nu) / self.l0) ** (1.0 / self.alpha)
+        except OverflowError:
+            return math.inf
 
     def max_radius(self):
         return math.inf
@@ -231,12 +241,6 @@ class RootAnalysis:
     nu_star_star: float | None
     lambda_star: float | None
     case: str | None
-
-    def require_root(self, purpose):
-        """This analysis, or NotCertifiedError when g has no root."""
-        if self.nu_star is None:
-            raise NotCertifiedError(f"majorant has no root: {purpose}")
-        return self
 
 
 def _left_bracket(model):

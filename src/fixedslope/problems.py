@@ -30,16 +30,13 @@ class Fixture:
     """A bundled problem plus whatever analytic metadata it supports.
 
     analytic: Hoelder majorant data of the iteration map, exact for this
-    operator (None when no closed form is known).  omega_exact(v) is the
-    true supremum of ||B F'(x) - I|| over the radius-v sphere, used to
-    grade the estimator.
+    operator (None when no closed form is known).
     """
 
     name: str
     problem: Problem
     analytic: HoelderParams | None = None
     known_solution: np.ndarray | None = None
-    omega_exact: object = None
 
 
 def analytic_model(fixture):
@@ -81,12 +78,7 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
     if nu < 1.0 and eta > 0.0:
         analytic = HoelderParams(l0=2.0 * abs(b), alpha=1.0, nu=nu, eta=eta)
     solution = math.sqrt(c) if x0 >= 0.0 else -math.sqrt(c)
-
-    def omega_exact(v):
-        return max(abs(2.0 * b * (x0 - v) - 1.0), abs(2.0 * b * (x0 + v) - 1.0))
-
-    return Fixture("scalar_quadratic", problem, analytic,
-                   np.array([solution]), omega_exact)
+    return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
 
 def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
@@ -129,15 +121,7 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
     if nu < 1.0:
         analytic = HoelderParams(l0=abs(b), alpha=alpha, nu=nu, eta=eta)
     solution = a - math.copysign(((1.0 + alpha) * abs(c)) ** (1.0 / (1.0 + alpha)), c)
-
-    def omega_exact(v):
-        # sup over the closed ball: |x-a| sweeps [max(0, d-v), d+v] and the
-        # objective |b t^alpha - 1| peaks at an endpoint of that interval
-        lo, hi = max(0.0, d - v), d + v
-        return max(abs(b * lo ** alpha - 1.0), abs(b * hi ** alpha - 1.0))
-
-    return Fixture("scalar_holder", problem, analytic,
-                   np.array([solution]), omega_exact)
+    return Fixture("scalar_holder", problem, analytic, np.array([solution]))
 
 
 def _diag_quadratic_l0(slope, norm):
@@ -196,8 +180,7 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
         raise BadParameters("x0 already solves the system; move it off the root")
     l0 = _diag_quadratic_l0(slope, norm)
     analytic = HoelderParams(l0=l0, alpha=1.0, nu=0.0, eta=eta)
-    return Fixture("poly2d", problem, analytic, root.copy(),
-                   omega_exact=lambda v: l0 * v)
+    return Fixture("poly2d", problem, analytic, root.copy())
 
 
 def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
@@ -230,8 +213,7 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
     if eta == 0.0:
         raise BadParameters("x0 already solves the system")
     analytic = HoelderParams(l0=0.0, alpha=1.0, nu=0.0, eta=eta)
-    return Fixture("linear", problem, analytic, solution,
-                   omega_exact=lambda v: 0.0)
+    return Fixture("linear", problem, analytic, solution)
 
 
 def _chandrasekhar(norm, c=0.9, n=16, R=None):

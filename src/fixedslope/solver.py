@@ -445,15 +445,16 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
     eta is computed as exactly ||B F(x0)||.  In centered mode the measure
     is the centered estimate shifted up by nu = ||B F'(x0) - I||, which
     dominates the direct estimate pointwise by the triangle inequality.
-    Either mode refuses nu >= 1 before sampling, with nu and eta on the error.
+    When nu >= 1 either mode returns the constant measure nu without
+    sampling: it is a true lower envelope, and certify refuses it.
     """
     eta = eta_at_start(problem)
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
     nu = nu_at_start(problem)
     if nu >= 1.0:
-        raise NuNotContractive(f"||B F'(x0) - I|| = {nu} >= 1: not a contraction at x0",
-                               nu=nu, eta=eta)
+        return MajorantModel(eta=eta, R=problem.R,
+                             omega=TabulatedOmega(((0.0, nu), (problem.R, nu))))
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))

@@ -1,6 +1,7 @@
 """Certification workflow and the Hoelder closed forms."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fixedslope.certificate import (
     REASON_NU_TOO_LARGE,
     REASON_RADIUS_TOO_SMALL,
     HoelderParams,
-    _holder_roots_unclipped,
     certify,
     check_holder_condition,
     holder_eta_max,
@@ -22,10 +22,44 @@ from fixedslope.majorant import HoelderOmega, MajorantModel, TabulatedOmega, g
 SQRT2 = math.sqrt(2.0)
 
 
+def holder_g(p, v):
+    """The Hoelder majorant g in closed form, written apart from majorant.g."""
+    return p.eta - (1.0 - p.nu) * v + p.l0 * v ** (1.0 + p.alpha) / (1.0 + p.alpha)
+
+
+def bisect_sign_change(fun, lo, hi):
+    """The point in [lo, hi] where fun changes sign, to the last float."""
+    lo_positive = fun(lo) > 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (fun(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def holder_roots(p, R):
-    """(nu_star, nu_star_star) clipped to R, for a p that meets the condition."""
+    """(nu_star, nu_star_star) clipped to R, for a p that meets the condition.
+
+    A reference independent of majorant.analyze: at alpha = 1 the quadratic
+    formula in its cancellation-free form; below that a dense scan of the
+    closed-form g brackets each sign change, which is then bisected.
+    """
     assert check_holder_condition(p)
-    ns, nss = _holder_roots_unclipped(p)
+    c = 1.0 - p.nu
+    if p.l0 == 0.0:
+        return min(p.eta / c, R), R
+    if p.alpha == 1.0:
+        sq = math.sqrt(max(c * c - 2.0 * p.l0 * p.eta, 0.0))
+        return min(2.0 * p.eta / (c + sq), R), min((c + sq) / p.l0, R)
+    r_bar = (c / p.l0) ** (1.0 / p.alpha)
+    # past (1 + alpha)^(1/alpha) r_bar < e r_bar the v^(1+alpha) term wins: g > 0
+    v = np.union1d(np.linspace(0.0, 3.0 * r_bar, 30001), [r_bar])
+    positive = holder_g(p, v) > 0.0
+    flips = np.flatnonzero(positive[:-1] != positive[1:])
+    ns = bisect_sign_change(partial(holder_g, p), v[flips[0]], v[flips[0] + 1])
+    nss = bisect_sign_change(partial(holder_g, p), v[flips[-1]], v[flips[-1] + 1])
     return min(ns, R), min(nss, R)
 
 
@@ -64,6 +98,32 @@ class TestCertify:
         assert cert.reason == REASON_RADIUS_TOO_SMALL
         assert cert.nu_star_needed == pytest.approx(2.0 - SQRT2, abs=1e-10)
 
+    def test_radius_too_small_without_cancellation(self):
+        # g = 1e-9 v^2 / 2 - v + 1: the root 2 / (1 + sqrt(1 - 2e-9)) loses
+        # 8e-8 of its value to cancellation in the textbook formula
+        cert = certify(HoelderParams(1e-9, 1.0, 0.0, 1.0).model(0.5))
+        assert cert.reason == REASON_RADIUS_TOO_SMALL
+        exact = 2.0 / (1.0 + math.sqrt(1.0 - 2e-9))
+        assert abs(cert.nu_star_needed - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("l0, alpha", [(1e-200, 1.0), (1e-90, 0.3), (1e-300, 0.3), (0.0, 1.0)])
+    def test_radius_too_small_far_below_the_turn(self, l0, alpha):
+        # omega reaches 1 at 1e200 or 1e300, past every float, or never: the
+        # root of g = 1 - v + l0 v^(1+alpha) / (1+alpha) still reads as 1
+        cert = certify(HoelderParams(l0, alpha, 0.0, 1.0).model(0.5))
+        assert cert.reason == REASON_RADIUS_TOO_SMALL
+        assert cert.nu_star_needed == 1.0
+
+    def test_radius_too_small_tabulated(self):
+        # omega = v / 5 up to radius 10: g = v^2 / 10 - v + 1/2, root 5 - sqrt(20)
+        om = TabulatedOmega(((0.0, 0.0), (10.0, 2.0)))
+        cert = certify(MajorantModel(eta=0.5, R=0.3, omega=om))
+        assert cert.reason == REASON_RADIUS_TOO_SMALL
+        assert cert.nu_star_needed == pytest.approx(5.0 - math.sqrt(20.0), abs=1e-12)
+        below_one = TabulatedOmega(((0.0, 0.0), (1.0, 0.5)))
+        cert = certify(MajorantModel(eta=0.9, R=0.5, omega=below_one))
+        assert cert.reason == REASON_CONSTRAINT_A  # no root on the tabulated domain
+
     def test_nu_too_large_tabulated(self):
         om = TabulatedOmega(((0.0, 1.2), (1.0, 1.3)))
         cert = certify(MajorantModel(eta=0.5, R=1.0, omega=om))
@@ -84,6 +144,12 @@ class TestHolderForms:
         assert holder_eta_max(1.0, 1.0, 0.0) == 0.5  # 2 l0 eta <= 1
         assert holder_eta_max(1.0, 1.0, 0.5) == pytest.approx(0.125, abs=1e-15)
         assert holder_eta_max(0.0, 1.0, 0.0) == math.inf
+
+    def test_overflow_reads_as_unbounded(self):
+        # (rhs / 1e-300)^(1/0.3) exceeds every float
+        assert holder_eta_max(1e-300, 0.3, 0.0) == math.inf
+        cert = certify(HoelderParams(1e-300, 0.3, 0.0, 1.0).model(10.0))
+        assert cert.certified and cert.nu_star == 1.0
 
     @pytest.mark.parametrize("l0, alpha, nu", [
         (-1.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),

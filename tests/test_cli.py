@@ -172,11 +172,12 @@ class TestSolve:
         assert lines[1].endswith(",,,")  # scalar columns empty
 
     def test_uncertifiable_still_solves(self, tmp_path, monkeypatch):
+        # nu = |2 b x0 - 1| = 1: certify refuses, the same refusal as the certify command
         code = run(tmp_path, monkeypatch,
                    ["solve", "scalar_quadratic", "c=2", "x0=2", "b=0.5"])
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
-        assert report["certificate"].startswith("unobtainable")
+        assert report["certificate"] == "refused: nu_too_large"
 
     def test_slack_tol_not_an_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--slack-tol", "1e-9"])
@@ -235,6 +236,15 @@ class TestCompare:
         assert doc["ahues_holds"] is False
         assert doc["kantorovich_holds"] is True
         assert doc["eta_max_ratio"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_overflowing_eta_max(self, tmp_path, monkeypatch):
+        # eta_max = (rhs / 1e-300)^(1/0.3) overflows: it reads as unbounded
+        code = run(tmp_path, monkeypatch,
+                   ["compare", "l0=1e-300", "alpha=0.3", "eta=1", "R=10"])
+        assert code == 0
+        doc = json.loads((tmp_path / "comparison.json").read_text())
+        assert doc["new_eta_max"] == doc["ahues_eta_max"] == "unbounded"
+        assert doc["nu_star"] == doc["r_star"] == 1.0
 
     def test_document_keys_follow_the_report_fields(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch, ["compare", "l0=1", "alpha=0.5", "eta=0.05"])

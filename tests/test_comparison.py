@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fixedslope.certificate import HoelderParams, check_holder_condition
-from fixedslope.comparison import ahues_condition, compare_report
+from fixedslope.comparison import _rival_params, ahues_condition, compare_report
 
 
 def ahues_eta_max(l0, alpha, nu):
@@ -47,6 +47,12 @@ class TestAhuesRoots:
         rep = compare_report(HoelderParams(0.5, 1.0, 0.0, 0.25), R=1.5, delta=0.0)
         assert rep.r_star == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
         assert rep.r_star_star == 1.5
+
+    def test_small_root_without_cancellation(self):
+        # f = 1e-9 v^2 - v + 1: the textbook quadratic formula loses 2.6e-8
+        rep = compare_report(HoelderParams(1e-9, 1.0, 0.0, 1.0), R=10.0)
+        exact = 2.0 / (1.0 + math.sqrt(1.0 - 4e-9))
+        assert abs(rep.r_star - exact) <= 1e-15 * exact
 
     def test_condition_fails(self):
         rep = compare_report(HoelderParams(1.0, 1.0, 0.0, 0.3), R=10.0)
@@ -144,6 +150,23 @@ class TestProperties:
             assert rep.r_star_star <= rep.nu_star_star + pad
             assert rep.containment_holds
             done += 1
+
+    def test_rival_radii_are_the_new_radii_of_the_rival_data(self):
+        # one root analysis: the rival side of p is the new side of its rival data
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            alpha = 1.0 if rng.random() < 0.25 else rng.uniform(0.25, 1.0)
+            l0, nu = rng.uniform(0.0, 3.0), rng.uniform(0.0, 0.7)
+            eta = ahues_eta_max(max(l0, 1e-3), alpha, nu) * rng.uniform(0.05, 1.2)
+            p, R = HoelderParams(l0, alpha, nu, eta), rng.uniform(0.2, 12.0)
+            rep, rival = compare_report(p, R), compare_report(_rival_params(p), R)
+            assert rep.ahues_holds == rival.new_holds
+            if not rep.ahues_holds:
+                assert rep.r_star is None and rep.r_star_star is None
+            elif rival.nu_star is None:  # root beyond R: clipped
+                assert rep.r_star == rep.r_star_star == R
+            else:
+                assert (rep.r_star, rep.r_star_star) == (rival.nu_star, rival.nu_star_star)
 
     def test_kantorovich_coincidence_at_nu_zero(self):
         # at alpha = 1, nu = 0 the new condition is exactly 2 l0 eta <= 1

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fixedslope.errors import NotCertifiedError, NuNotContractive, RadiusOutOfRange
+from fixedslope.errors import NuNotContractive, RadiusOutOfRange
 from fixedslope.majorant import (
     HoelderOmega,
     MajorantModel,
@@ -69,6 +69,12 @@ class TestOmegaMeasures:
         assert HoelderOmega(0.0, 1.0, 0.3).value(5.0) == 0.3
         # v^alpha = 0.04^0.5 = 0.2 exactly
         assert HoelderOmega(0.5, 0.5, 0.1).value(0.04) == pytest.approx(0.2, abs=1e-15)
+
+    def test_hoelder_far_reach(self):
+        # ((1 - nu) / l0)^(1/alpha) = 1e1000 overflows: omega stays below 1 on all floats
+        assert HoelderOmega(1e-300, 0.3).radius_where_one() == math.inf
+        # 1e200^2 overflows on the way, omega(1e200) * 1e200 / 2 does not
+        assert HoelderOmega(1e-200, 1.0).integral(1e200) == 5e199
 
     def test_hoelder_validation(self):
         with pytest.raises(ValueError):
@@ -194,8 +200,6 @@ class TestRoots:
     def test_maximal_root_requires_minimal(self):
         roots = analyze(quad_model(eta=1.0, l0=1.0))
         assert roots.nu_star_star is None
-        with pytest.raises(NotCertifiedError):
-            roots.require_root("nothing to bracket")
 
     def test_analyze_one_pass(self):
         assert analyze(quad_model()) == RootAnalysis(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from exact_measures import EXACT
 from fixedslope.certificate import certify
 from fixedslope.errors import BadParameters, UnknownFixture
 from fixedslope.norms import vector_norm, vector_norms
@@ -114,7 +115,7 @@ class TestAnalyticVsEstimate:
             om = estimate_omega(fx.problem, "direct", radii=radii,
                                 samples_per_radius=64, seed=0)
             for r, w in om.knots[1:]:
-                exact = fx.omega_exact(r)
+                exact = EXACT[name](r)
                 assert w <= exact + 1e-12
                 assert w >= exact * 0.98 - 1e-12
 
@@ -125,7 +126,7 @@ class TestAnalyticVsEstimate:
             p = fx.analytic
             for v in np.linspace(0.0, fx.problem.R, 33):
                 bound = p.nu + p.l0 * v ** p.alpha
-                assert fx.omega_exact(v) <= bound + 1e-12
+                assert EXACT[name](v) <= bound + 1e-12
 
 
 class TestChandrasekhar:

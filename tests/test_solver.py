@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixedslope.certificate import certify
+from exact_measures import EXACT
+from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
 from fixedslope.errors import (
     BadParameters,
     CertificateMissing,
     EvaluationFailed,
     JacobianMissing,
-    NuNotContractive,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
 from fixedslope.norms import matrix_norm, vector_norm, vector_norms
@@ -313,11 +313,12 @@ class TestEstimateOmega:
                 estimate_omega(linear, "direct", radii=bad)
 
     def test_nu_not_contractive(self):
-        # estimate_omega only measures; estimate_majorant refuses the start
+        # estimate_omega only measures; estimate_majorant hands certify the constant nu
         p = quad_problem(x0=2.0, b=0.5)  # |2 b x0 - 1| = 1
         assert estimate_omega(p, "direct", radii=[0.5]).knots[0] == (0.0, 1.0)
-        with pytest.raises(NuNotContractive):
-            estimate_majorant(p, mode="direct", radii=[0.5])
+        model = estimate_majorant(p, mode="direct", radii=[0.5])
+        assert model.omega.knots == ((0.0, 1.0), (p.R, 1.0))
+        assert certify(model).reason == REASON_NU_TOO_LARGE
 
     def test_estimator_consistency_two_percent(self):
         # analytic measures are reproduced within 2% at every radius
@@ -328,7 +329,7 @@ class TestEstimateOmega:
             om = estimate_omega(fx.problem, "direct", radii=radii,
                                 samples_per_radius=samples, seed=0)
             for r, w in om.knots[1:]:
-                exact = fx.omega_exact(r)
+                exact = EXACT[name](r)
                 assert w <= exact * (1.0 + 1e-9)  # lower envelope
                 assert w >= exact * 0.98, f"{name} at radius {r}"
 
@@ -411,9 +412,9 @@ class TestEstimateMajorant:
 
         counted = Problem(f=problem.f, slope=problem.slope, x0=problem.x0,
                           R=problem.R, jacobian=jacobian)
-        with pytest.raises(NuNotContractive):
-            estimate_majorant(counted, mode=mode)
-        assert len(calls) <= 2
+        cert = certify(estimate_majorant(counted, mode=mode))
+        assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
+        assert len(calls) == 1  # the start's Jacobian only: nothing is sampled
 
     def test_solved_start_rejected(self):
         # c = x0^2 exactly in floats, so F(x0) = 0 and eta = 0
