@@ -9,8 +9,9 @@ hold, packages the radii that the iteration theory guarantees a priori:
                    whether the ball is closed or open is part of the claim
     gamma_star     radius on which the majorant slope stays below 1
 
-Every radius, including the nu_star_needed of a radius_too_small refusal,
-comes from majorant.analyze; no closed form decides a certificate.  For a
+Every radius comes from majorant.analyze, and the nu_star_needed of a
+radius_too_small refusal from its minimal-root half, majorant.minimal_root;
+no closed form decides a certificate.  For a
 Hoelder measure omega(v) = nu + l0 v^alpha the certification condition
 has the closed form
 
@@ -111,16 +112,22 @@ def holder_eta_max(l0, alpha, nu):
 def _needed_radius(model, nu):
     """Minimal root of g past R on the measure's whole domain, or None when g has none.
 
-    g is convex with its minimum where omega reaches 1, so one analysis with
-    R moved there finds the root if any exists.  A measure that stays below
-    1 on an unbounded domain is treated as the constant nu: the affine root.
+    g is convex with its minimum where omega reaches 1, so one minimal_root
+    with R moved there finds the root if any exists.  Where omega stays below
+    1 on every float, g falls throughout: R moves instead to the first
+    doubling of the affine root eta/(1-nu) at which g <= 0.  That root bounds
+    the minimal root from below, since omega >= nu.
     """
     reach = min(model.omega.radius_where_one(), model.omega.max_radius())
     if reach <= model.R:
         return None
     if reach == math.inf:
-        return model.eta / (1.0 - nu)
-    return majorant.analyze(replace(model, R=reach)).nu_star
+        reach = model.eta / (1.0 - nu)
+        while reach < math.inf and majorant.g(replace(model, R=reach), reach) > 0.0:
+            reach *= 2.0
+        if reach == math.inf:
+            return None
+    return majorant.minimal_root(replace(model, R=reach))
 
 
 def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):

@@ -71,7 +71,10 @@ class HoelderOmega:
         """Exact integral of omega over [0, v]."""
         try:
             return self.nu * v + self.l0 * v ** (1.0 + self.alpha) / (1.0 + self.alpha)
-        except OverflowError:  # v**(1 + alpha) overflows where omega(v) * v need not
+        except OverflowError:
+            # v**(1 + alpha) overflows where omega(v) * v need not.  The
+            # regrouped product is not the default: it rounds differently
+            # in the last bit, which moves bisected radii by an ulp.
             return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
 
     def radius_where_one(self):
@@ -303,9 +306,14 @@ def majorizing_terms(model):
     """Endless majorizing sequence v_0 = 0, v_{k+1} = phi(v_k).
 
     Each term is kept at least as large as the one before, so rounding
-    near the fixed point cannot make the sequence decrease.
+    near the fixed point cannot make the sequence decrease.  phi maps
+    [0, nu_star] into itself, so a term at most a few ulps past R is
+    rounding at nu_star = R and reads as R; a model without a root still
+    climbs out of [0, R] and raises RadiusOutOfRange.
     """
     v = 0.0
     while True:
         yield v
         v = max(phi(model, v), v)
+        if model.R < v <= model.R + 4.0 * math.ulp(model.R):
+            v = model.R

@@ -114,6 +114,24 @@ class TestCertify:
         assert cert.reason == REASON_RADIUS_TOO_SMALL
         assert cert.nu_star_needed == 1.0
 
+    @pytest.mark.parametrize("l0, alpha", [(1e-300, 0.3), (0.02, 0.005), (0.0, 1.0)])
+    def test_needed_radius_certifies(self, l0, alpha):
+        # omega reaches 1 past every float; at (0.02, 0.005) the v^(1+alpha)
+        # term still moves the root of g off the affine root 1
+        p = HoelderParams(l0, alpha, 0.0, 1.0)
+        cert = certify(p.model(0.5))
+        assert cert.reason == REASON_RADIUS_TOO_SMALL
+        exact = bisect_sign_change(partial(holder_g, p), 0.5, 4.0)
+        assert abs(cert.nu_star_needed - exact) <= 1e-15 * exact
+        again = certify(p.model(cert.nu_star_needed))
+        assert again.certified and again.nu_star == cert.nu_star_needed
+
+    def test_no_float_radius_certifies(self):
+        # the affine root 2e308 is past every float, so no R can certify
+        cert = certify(HoelderParams(0.0, 1.0, 0.5, 1e308).model(1.0))
+        assert cert.reason == REASON_CONSTRAINT_A
+        assert cert.nu_star_needed is None
+
     def test_radius_too_small_tabulated(self):
         # omega = v / 5 up to radius 10: g = v^2 / 10 - v + 1/2, root 5 - sqrt(20)
         om = TabulatedOmega(((0.0, 0.0), (10.0, 2.0)))
