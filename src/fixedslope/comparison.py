@@ -20,6 +20,7 @@ write-up states r_star < nu_star instead (ORDER_STATED), so the report
 gives the computed ordering rather than asserting either.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import majorant
@@ -95,9 +96,15 @@ def compare_report(p, R, *, delta=None):
         rs = R if roots.nu_star is None else roots.nu_star
         rss = R if roots.nu_star_star is None else roots.nu_star_star
 
+    # l0 cancels from the ratio of the thresholds, so it comes from its closed
+    # form even where both thresholds overflow to inf
     ratio = None
-    if 0.0 < rival_emax < float("inf"):
-        ratio = new_emax / rival_emax
+    if new_emax > 0.0 and rival_emax > 0.0:
+        try:
+            ratio = (1.0 + p.alpha) ** (1.0 / p.alpha) * (
+                (1.0 - p.nu) / (1.0 - rival.nu)) ** ((1.0 + p.alpha) / p.alpha)
+        except OverflowError:
+            ratio = math.inf
 
     containment = None
     order = None

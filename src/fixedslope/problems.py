@@ -249,8 +249,9 @@ def _chandrasekhar(norm, c=0.9, n=16, R=None):
         return h - 1.0 - h * np.matmul(kernel, h[..., None])[..., 0]
 
     def jac(h):
-        d = 1.0 - np.matmul(kernel, h[..., None])[..., 0]
-        return np.eye(n) * d[..., None] - h[..., None] * kernel
+        j = h[..., None] * -kernel
+        np.einsum("...ii->...i", j)[...] += 1.0 - np.matmul(kernel, h[..., None])[..., 0]
+        return j
 
     x0 = np.ones(n)
     slope = np.linalg.inv(jac(x0))

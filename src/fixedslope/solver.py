@@ -37,7 +37,7 @@ from .errors import (
     NuNotContractive,
 )
 from .majorant import MajorantModel, TabulatedOmega
-from .norms import NORM_KINDS, matrix_norm, matrix_norms, vector_norm, vector_norms
+from .norms import NORM_KINDS, matrix_norm, max_matrix_norm, vector_norm, vector_norms
 
 STOP_STEP_TOL = "step_tol"
 STOP_RESIDUAL_TOL = "residual_tol"
@@ -59,8 +59,10 @@ DEFAULT_NUM_RADII = 24
 DEFAULT_SAMPLES = 64
 
 # The estimator applies B and the norm to stacks of sampled Jacobians of at
-# most this many floats (64 KiB), so its memory does not grow with the budget.
-_STACK_FLOATS = 2**13
+# most this many floats (256 KiB, eight Jacobians at n = 64), so its memory
+# does not grow with the budget.  Each stack is reduced against the running
+# max, so a matrix that cannot raise the knot is never decomposed.
+_STACK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -408,12 +410,10 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
     running = base
     for radius in radii:
         points = _sphere_points(problem, radius, samples_per_radius, rng)
-        worst = 0.0
         for lo in range(0, len(points), chunk):
             stack = np.matmul(problem.slope, _jacobians(problem, points[lo:lo + chunk]))
             stack -= shift
-            worst = max(worst, float(np.max(matrix_norms(stack, problem.norm))))
-        running = max(running, worst)
+            running = max_matrix_norm(stack, problem.norm, running)
         knots.append((radius, running))
     return TabulatedOmega(tuple(knots))
 

@@ -244,6 +244,7 @@ class TestCompare:
         assert code == 0
         doc = json.loads((tmp_path / "comparison.json").read_text())
         assert doc["new_eta_max"] == doc["ahues_eta_max"] == "unbounded"
+        assert doc["eta_max_ratio"] == pytest.approx(2.398, abs=1e-3)
         assert doc["nu_star"] == doc["r_star"] == 1.0
 
     def test_document_keys_follow_the_report_fields(self, tmp_path, monkeypatch):

@@ -88,6 +88,19 @@ class TestCompareReport:
         rep = compare_report(HoelderParams(1.0, 0.5, 0.0, 0.01), R=10.0)
         assert rep.eta_max_ratio == pytest.approx(2.25, abs=1e-12)
 
+    def test_ratio_when_both_thresholds_overflow(self):
+        rep = compare_report(HoelderParams(1e-300, 0.3, 0.0, 1.0), R=10.0)
+        assert rep.new_eta_max == rep.ahues_eta_max == math.inf
+        assert rep.eta_max_ratio == pytest.approx(2.398, abs=1e-3)  # 1.3^(1/0.3)
+        # (1/1e-9)^101 is past every float: the ratio reads inf, not an OverflowError
+        rep = compare_report(HoelderParams(1e-300, 0.01, 0.0, 1.0), R=10.0, delta=1.0 - 1e-9)
+        assert rep.eta_max_ratio == math.inf
+
+    def test_ratio_with_delta(self):
+        rep = compare_report(HoelderParams(1.0, 0.5, 0.2, 0.01), R=10.0, delta=0.1)
+        assert rep.eta_max_ratio == pytest.approx(rep.new_eta_max / rep.ahues_eta_max,
+                                                  rel=1e-14)
+
     def test_kantorovich_not_applicable(self):
         rep = compare_report(HoelderParams(1.0, 0.5, 0.0, 0.01), R=10.0)
         assert rep.kantorovich_holds is None

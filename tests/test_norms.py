@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from fixedslope.norms import matrix_norm, matrix_norms, vector_norm, vector_norms
+from fixedslope.norms import (
+    matrix_norm,
+    matrix_norms,
+    max_matrix_norm,
+    vector_norm,
+    vector_norms,
+)
 
 KINDS = ["max", "one", "two"]
 
@@ -40,3 +46,51 @@ def test_unknown_kind():
         matrix_norm(np.eye(2), "frobenius")
     with pytest.raises(ValueError):
         vector_norms(np.ones((2, 2)), "frobenius")
+
+
+def fuzzed_stacks(rng, count):
+    """Seeded stacks that stress the spectral bounds: ties, rank one, zeros, extreme scales."""
+    for i in range(count):
+        size, n = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        a = rng.standard_normal((size, n, n))
+        shape = i % 6
+        if shape == 1:  # rank one
+            a = rng.standard_normal((size, n, 1)) * rng.standard_normal((size, 1, n))
+        elif shape == 2:  # partly zero
+            a[rng.random(size) < 0.5] = 0.0
+        elif shape == 3:
+            a = np.zeros((size, n, n))
+        elif shape == 4:  # orthogonal, every norm equal to 3
+            a = 3.0 * np.linalg.qr(a)[0]
+        elif shape == 5:  # one dominant entry
+            a[:, 0, 0] += 10.0 * rng.standard_normal(size)
+        scale = (i // 6) % 4
+        if scale == 1:
+            a *= 1e-150
+        elif scale == 2:
+            a *= 1e150
+        elif scale == 3:  # each matrix its own scale
+            a *= 10.0 ** rng.uniform(-150.0, 150.0, size=(size, 1, 1))
+        yield a
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_matrix_norm_equals_max_of_all_norms(kind):
+    # exact equality, also for floors at, between and above the norms; an
+    # overflow or underflow warning would fail the test
+    rng = np.random.default_rng(41)
+    for a in fuzzed_stacks(rng, 240):
+        norms = matrix_norms(a, kind)
+        top = float(norms.max())
+        for floor in (0.0, top * rng.random(), float(rng.choice(norms)), top, 1.5 * top + 1.0):
+            assert max_matrix_norm(a, kind, floor) == max(floor, top)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_matrix_norm_small_stacks(kind):
+    a = np.array([[[1.0, -2.0], [3.0, 0.5]]])
+    assert max_matrix_norm(a, kind) == matrix_norm(a[0], kind)
+    assert max_matrix_norm(a, kind, 1e3) == 1e3
+    scalars = np.array([[[-2.0]], [[0.5]], [[0.0]]])
+    assert max_matrix_norm(scalars, kind) == 2.0
+    assert max_matrix_norm(scalars, kind, 2.5) == 2.5

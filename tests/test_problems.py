@@ -157,6 +157,24 @@ class TestChandrasekhar:
         cert = certify(model)
         assert not cert.certified
 
+    def test_jacobian_of_a_stack(self):
+        # the in-place Jacobian equals the textbook expression bit for bit and
+        # matches a central difference of f, which is exact for quadratic f
+        c, n = 0.9, 7
+        problem = build_fixture("chandrasekhar", c=c, n=n).problem
+        mu = (np.arange(n) + 0.5) / n
+        kernel = (c / 2.0) * (1.0 / n) * mu[:, None] / (mu[:, None] + mu[None, :])
+        h = 1.0 + np.random.default_rng(17).random((5, n))
+        d = 1.0 - np.matmul(kernel, h[..., None])[..., 0]
+        j = problem.jacobian(h)
+        assert np.array_equal(j, np.eye(n) * d[..., None] - h[..., None] * kernel)
+        assert np.array_equal(problem.jacobian(h[2]), j[2])
+        t = 1e-2
+        for k in range(n):
+            e = t * np.eye(n)[k]
+            diff = (problem.f(h + e) - problem.f(h - e)) / (2.0 * t)
+            assert np.allclose(diff, j[..., k], rtol=0.0, atol=1e-12)
+
     def test_quadrature_nodes_inside_domain(self):
         fx = build_fixture("chandrasekhar", c=0.5, n=4)
         # midpoint nodes never touch mu = 0, so the kernel stays finite

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from exact_measures import EXACT
+from fixedslope import norms
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
 from fixedslope.errors import (
     BadParameters,
@@ -16,13 +17,15 @@ from fixedslope.errors import (
     JacobianMissing,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
-from fixedslope.norms import matrix_norm, vector_norm, vector_norms
+from fixedslope.norms import matrix_norm, matrix_norms, vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
+    _STACK_FLOATS,
     Problem,
     StoppingRule,
     _probe_starts,
     _sphere_points,
+    default_radii,
     estimate_majorant,
     estimate_omega,
     fsi_solve,
@@ -336,9 +339,11 @@ class TestEstimateOmega:
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     def test_batched_stacks_match_per_point_loop(self, norm, mode):
-        # n = 19 puts 8192 // 19**2 = 22 Jacobians in a stack, which divides
-        # neither the 40 samples per radius nor the 38 signed axis directions.
-        problem = build_fixture("chandrasekhar", n=19, norm=norm).problem
+        # n = 29 puts 32768 // 29**2 = 38 Jacobians in a stack, so a stack
+        # boundary falls inside each radius: 40 samples, or 58 signed axis
+        # directions in the one norm.
+        problem = build_fixture("chandrasekhar", n=29, norm=norm).problem
+        chunk = _STACK_FLOATS // problem.dim**2
         radii = [problem.R / 3.0, 2.0 * problem.R / 3.0, problem.R]
         om = estimate_omega(problem, mode, radii=radii, samples_per_radius=40, seed=5)
 
@@ -350,7 +355,7 @@ class TestEstimateOmega:
         rng = np.random.default_rng(5)
         for r in radii:
             points = _sphere_points(problem, r, 40, rng)
-            assert len(points) % 22 != 0
+            assert chunk < len(points) and len(points) % chunk != 0
             worst = max(matrix_norm(problem.slope @ problem.jacobian(x) - shift, norm)
                         for x in points)
             running = max(running, worst)
@@ -360,6 +365,22 @@ class TestEstimateOmega:
             assert np.allclose(om.knots, expected, rtol=0.0, atol=1e-12)
         else:
             assert om.knots == tuple(expected)
+
+    def test_spectral_max_decomposes_few_matrices(self, monkeypatch):
+        # 8 radii x 16 samples: each knot needs only the largest of its 16
+        # spectral norms, and the Gram bounds rule most of the rest out
+        decomposed = []
+
+        def counting(a, kind="max"):
+            if kind == "two":
+                decomposed.append(np.asarray(a)[..., 0, 0].size)
+            return matrix_norms(a, kind)
+
+        problem = build_fixture("chandrasekhar", n=57, norm="two").problem
+        monkeypatch.setattr(norms, "matrix_norms", counting)
+        estimate_omega(problem, "centered", radii=default_radii(problem.R, 8),
+                       samples_per_radius=16, seed=3)
+        assert 0 < sum(decomposed) <= 16  # of 128
 
 
     @pytest.mark.parametrize("samples", [1, 3, 41])  # 3 < 2n <= 38 < 41
