@@ -9,20 +9,24 @@ first-step bound eta it defines the majorant
 omega is non-decreasing, so g is convex: it falls from g(0) = eta > 0
 with slope omega(0) - 1 < 0 and turns upward once omega crosses 1.  The
 radius of that crossing (clipped to R) is gamma_star, the minimizer of g
-on [0, R].  Everything else reduces to sign bisection on brackets whose
-endpoint signs are known:
+on [0, R].  Everything else is a root of g on a bracket whose endpoint
+signs are known:
 
     nu_star       minimal root of g, bracketed by [0, gamma_star]
     nu_star_star  maximal root of g, bracketed by [gamma_star, R]
     lambda_star   radius of the uniqueness ball, with its boundary case
                   ("B1" closed ball, "B2" open ball)
 
+Both roots come from one safeguarded Newton iteration started where g > 0
+(at 0 and at R); each is the float beside the root where the computed g
+is <= 0.
+
 A minimal root exists iff g(gamma_star) <= 0; when that minimum sits on
-zero the two roots merge (double root) and the bisection bracket
-degenerates, so the root is read off at gamma_star directly.  ROOT_TOL is
-the one tangency tolerance: a minimum within ROOT_TOL * max(1, eta) of
-zero counts as a double root, which absorbs rounding at eta = eta_max;
-bisection still runs to full floating-point precision.  analyze()
+zero the two roots merge (double root) and the bracket degenerates, so
+the root is read off at gamma_star directly.  ROOT_TOL is the one
+tangency tolerance: a minimum within ROOT_TOL * max(eta, gamma_star), the
+terms g(gamma_star) is computed from, of zero counts as a double root,
+which absorbs rounding at eta = eta_max at every scale.  analyze()
 computes all three radii in one pass and is the package's one root
 finder: certify and compare_report take every radius from it.
 majorizing_terms() is the one generator of the majorizing sequence
@@ -37,10 +41,10 @@ from .errors import NuNotContractive, RadiusOutOfRange
 
 ROOT_TOL = 1e-12
 
-# Maximal bisection steps.  Bisection stops once its bracket collapses in
-# floating point: halving [0, hi] onto a root r takes about log2(hi / r) + 53
-# steps, below this cap across the whole double range.
-_BISECT_STEPS = 2200
+# Cap on the evaluations of g in each phase of _root: even halving [0, hi]
+# onto a root r takes only about log2(hi / r) + 53 steps, below this cap
+# across the whole double range.
+_ROOT_STEPS = 2200
 
 # Two roots closer than this band (measured on g at its minimum) are merged
 # into a double root; relative to eta it realizes the eta == eta_max
@@ -212,22 +216,46 @@ def gamma_star(model):
     return min(model.R, model.omega.radius_where_one())
 
 
-def _bisect_boundary(fun, lo, hi, lo_positive):
-    """Shrink [lo, hi] onto the boundary between {fun > 0} and {fun <= 0}.
+def _root(model, pos, g_pos, neg):
+    """The float at the g <= 0 end of the sign change of g between pos and neg.
 
-    The caller guarantees the endpoint signs: fun(lo) > 0 iff lo_positive,
-    and the opposite at hi.  Runs until the bracket collapses in floating
-    point (at most _BISECT_STEPS halvings).
+    g(pos) = g_pos > 0 >= g(neg).  g is convex with slope omega - 1, so
+    Newton steps from pos approach the root monotonically until rounding
+    stops them; a step that leaves the bracket, has a wrong-signed slope or
+    exceeds half the step before last is a bisection instead (rtsafe).  The
+    bracket is then widened from there in doubling steps and bisected.
     """
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid <= min(lo, hi) or mid >= max(lo, hi):
+    moves = [math.inf, math.inf]  # lengths of the last two steps
+    for _ in range(_ROOT_STEPS):
+        lo, hi = min(pos, neg), max(pos, neg)
+        slope = model.omega.value(pos) - 1.0
+        x = pos - g_pos / slope if slope * (neg - pos) < 0.0 else math.nan
+        if x == pos:  # the step rounds away: the root is within rounding of pos
             break
-        if (fun(mid) > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        newton = lo < x < hi and abs(x - pos) <= 0.5 * moves[0]
+        x = x if newton else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return neg
+        moves, g_x = [moves[1], abs(x - pos)], g(model, x)
+        pos, g_pos, neg = (x, g_x, neg) if g_x > 0.0 else (pos, g_pos, x)
+        if newton and neg == x:  # only rounding carries Newton across the root
+            break
+    else:
+        return neg
+    # rounding blurs the sign of g over about an ulp of its largest term,
+    # max(eta, x) near a root, over its slope: widening starts there
+    blur = max(math.ulp(x), math.ulp(max(model.eta, x)) / abs(slope))
+    step = math.copysign(blur, (neg if x == pos else pos) - x)
+    for _ in range(_ROOT_STEPS):
+        lo, hi = min(pos, neg), max(pos, neg)
+        widen = lo < x + step < hi
+        y = x + step if widen else 0.5 * (lo + hi)
+        if not lo < y < hi:
+            break
+        pos, neg = (y, neg) if g(model, y) > 0.0 else (pos, y)
+        if widen:  # go on from y while it replaced x as an end of the bracket
+            x, step = (x, math.nan) if x in (pos, neg) else (y, 2.0 * step)
+    return neg
 
 
 @dataclass(frozen=True)
@@ -249,29 +277,29 @@ class RootAnalysis:
 def _left_bracket(model):
     """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
     gam = gamma_star(model)
-    stol = ROOT_TOL * max(1.0, model.eta)
+    stol = ROOT_TOL * max(model.eta, gam)
     g_gam = g(model, gam)
     if g_gam > stol:
         ns = None
     elif g_gam >= -stol:
         ns = gam
     else:
-        ns = _bisect_boundary(lambda v: g(model, v), 0.0, gam, lo_positive=True)
+        ns = _root(model, 0.0, model.eta, gam)
     return gam, stol, g_gam, ns
 
 
 def minimal_root(model):
     """Minimal root nu_star of g on [0, R], or None when g has no root.
 
-    A minimum g(gamma_star) within ROOT_TOL*max(1, eta) of zero is a
-    double root and is returned as gamma_star itself (bisection cannot
-    resolve it better).
+    A minimum g(gamma_star) within ROOT_TOL*max(eta, gamma_star) of zero
+    is a double root and is returned as gamma_star itself (no root
+    iteration can resolve it better).
     """
     return _left_bracket(model)[3]
 
 
 def analyze(model):
-    """RootAnalysis of g from one g(gamma_star) and at most two bisections.
+    """RootAnalysis of g from g(gamma_star), g(R) and at most two root iterations.
 
     The interval past nu_star where g < 0 decides the uniqueness radius:
     if it is empty (g(gamma_star) within the merge band) the radius is
@@ -291,8 +319,8 @@ def analyze(model):
         elif g_r <= stol:
             nss = model.R
         else:
-            nss = _bisect_boundary(lambda v: g(model, v), gam, model.R, lo_positive=False)
-    band = max(10.0 * ROOT_TOL * max(1.0, model.eta), _MERGE_BAND_REL * model.eta)
+            nss = _root(model, model.R, g_r, gam)
+    band = max(10.0 * stol, _MERGE_BAND_REL * model.eta)
     if g_gam >= -band:
         lam, case = ns, "B1"
     elif nss is None:

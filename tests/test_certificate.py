@@ -283,3 +283,47 @@ class TestProperties:
             assert cert.nu_star >= prev_ns - 1e-12
             assert cert.lambda_star <= prev_lam + 1e-12
             prev_ns, prev_lam = cert.nu_star, cert.lambda_star
+
+
+class TestRadiiAtEveryScale:
+    def test_nu_star_on_the_safe_side_of_its_root(self):
+        # the theorem needs phi(nu_star) <= nu_star, so the computed g must be
+        # <= 0 at each radius taken from a root iteration
+        rng = np.random.default_rng(41)
+        certified = 0
+        for _ in range(2000):
+            alpha, l0, nu = rng.uniform(0.3, 0.99), rng.uniform(0.1, 10.0), rng.uniform(0.0, 0.6)
+            eta = holder_eta_max(l0, alpha, nu) * rng.uniform(0.1, 0.95)
+            p = HoelderParams(l0, alpha, nu, eta)
+            m = p.model(10.0 * ((1.0 - nu) / l0) ** (1.0 / alpha))
+            cert = certify(m)
+            if cert.certified:
+                certified += 1
+                assert g(m, cert.nu_star) <= 0.0
+                assert cert.nu_star_star is None or g(m, cert.nu_star_star) <= 0.0
+        assert certified == 2000
+
+    @pytest.mark.parametrize("l0, alpha, nu, eta, R, root", [
+        (1e-300, 0.3, 0.0, 1e-300, 1e-301, 1e-300),
+        (1.0, 1.0, 0.6, 1e-27, 2e-27, 2.5e-27),
+    ])
+    def test_tangency_band_scales_with_the_model(self, l0, alpha, nu, eta, R, root):
+        # g(R) > 0 is far below 1e-12 but not below the terms of g: the root
+        # lies past R, and a double-root reading would certify R itself
+        cert = certify(HoelderParams(l0, alpha, nu, eta).model(R))
+        assert cert.reason == REASON_RADIUS_TOO_SMALL
+        assert cert.nu_star_needed == pytest.approx(root, rel=1e-12, abs=0.0)
+
+    def test_tiny_models_certify_their_root(self):
+        # the root 1e-27 lies inside R; a band of 1e-12 read g(R) = -1e-27 as
+        # a double root at R and certified nu_star = R
+        cert = certify(HoelderParams(1.0, 1.0, 0.0, 1e-27).model(2e-27))
+        assert cert.certified and cert.nu_star == pytest.approx(1e-27, rel=1e-12, abs=0.0)
+        assert (cert.lambda_star, cert.uniqueness_boundary) == (2e-27, BOUNDARY_CLOSED)
+
+    def test_no_random_valid_model_raises(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20000):
+            alpha, nu = rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.99)
+            l0, eta = 10.0 ** rng.uniform(-30.0, 30.0), 10.0 ** rng.uniform(-30.0, 30.0)
+            certify(HoelderParams(l0, alpha, nu, eta).model(eta * 10.0 ** rng.uniform(-3.0, 3.0)))

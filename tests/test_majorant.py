@@ -6,10 +6,14 @@ quadratics for alpha = 1, dense grid scans of g for everything else.
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from test_certificate import bisect_sign_change, holder_g
 
+from fixedslope import majorant
+from fixedslope.certificate import HoelderParams
 from fixedslope.errors import NuNotContractive, RadiusOutOfRange
 from fixedslope.majorant import (
     HoelderOmega,
@@ -337,3 +341,142 @@ class TestProperties:
                     assert gamma_star(mt) == pytest.approx(gamma_star(mh), abs=1e-4)
                     assert analyze(mt).lambda_star == pytest.approx(
                         analyze(mh).lambda_star, abs=1e-4)
+
+
+def _hoelder(rng, eta_rel, reach):
+    """Random Hoelder model with eta = eta_rel * eta_max and R = reach * r_bar."""
+    alpha = rng.uniform(0.3, 1.0)
+    nu = rng.uniform(0.0, 0.6)
+    l0 = 10.0 ** rng.uniform(-1.0, 1.0)
+    r_bar = ((1.0 - nu) / l0) ** (1.0 / alpha)
+    eta_max = (1.0 - nu) * r_bar * alpha / (1.0 + alpha)
+    return MajorantModel(eta_rel * eta_max, reach * r_bar, HoelderOmega(l0, alpha, nu))
+
+
+def _tabulated(rng, knots):
+    """Random tabulated model: a jittered power law through `knots` knots."""
+    R = rng.uniform(1.0, 10.0)
+    radii = np.linspace(0.0, R, knots)
+    values = rng.uniform(0.0, 0.5) + rng.uniform(0.5, 4.0) * (radii / R) ** rng.uniform(0.5, 2.0)
+    values = values + np.cumsum(rng.random(knots)) * 0.01 / knots
+    return MajorantModel(rng.uniform(0.01, 0.3), R, TabulatedOmega(tuple(zip(radii, values))))
+
+
+def _knot_g(model):
+    """g of a tabulated model from its knots, written apart from TabulatedOmega."""
+    radii = np.array([r for r, _ in model.omega.knots])
+    values = np.array([w for _, w in model.omega.knots])
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(radii))))
+
+    def fun(v):
+        i = min(int(np.searchsorted(radii, v, side="right")) - 1, len(radii) - 2)
+        w = values[i] + (values[i + 1] - values[i]) * (v - radii[i]) / (radii[i + 1] - radii[i])
+        return model.eta + float(cum[i]) + 0.5 * (values[i] + w) * (v - radii[i]) - v
+
+    return fun, radii
+
+
+def _scanned_roots(fun, grid):
+    """First and last sign change of fun over a grid, each bisected to the last float."""
+    positive = [fun(float(v)) > 0.0 for v in grid]
+    flips = [i for i in range(len(grid) - 1) if positive[i] != positive[i + 1]]
+    return [bisect_sign_change(fun, float(grid[i]), float(grid[i + 1]))
+            for i in (flips[0], flips[-1])]
+
+
+class TestRootIteration:
+    """The safeguarded Newton root finder behind analyze and minimal_root."""
+
+    @staticmethod
+    def _count_g(monkeypatch):
+        calls = [0]
+
+        def counted(model, v):
+            calls[0] += 1
+            return g(model, v)
+
+        monkeypatch.setattr(majorant, "g", counted)
+        return calls
+
+    def test_few_evaluations_per_analysis(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        models = [_hoelder(rng, rng.uniform(0.1, 1.3), rng.uniform(0.2, 3.0)) for _ in range(100)]
+        models += [_tabulated(rng, int(rng.integers(16, 2001))) for _ in range(60)]
+        calls = self._count_g(monkeypatch)
+        for m in models:
+            analyze(m)
+        assert calls[0] / len(models) <= 15.0
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_near_tangency_costs_no_more_than_bisection(self, monkeypatch, k):
+        # g is flat at its roots, so Newton converges slowly and rounding blurs
+        # the sign of g over many ulps; halving both brackets took about 110
+        calls = self._count_g(monkeypatch)
+        for l0, alpha, nu in [(1.0, 1.0, 0.0), (0.5, 0.5, 0.2), (3.0, 0.3, 0.5),
+                              (0.1, 0.8, 0.0), (2.0, 0.65, 0.3)]:
+            r_bar = ((1.0 - nu) / l0) ** (1.0 / alpha)
+            eta_max = (1.0 - nu) * r_bar * (alpha / (1.0 + alpha))
+            eta = eta_max * (1.0 - 10.0 ** -k)
+            m = MajorantModel(eta, 10.0 * r_bar, HoelderOmega(l0, alpha, nu))
+            calls[0] = 0
+            roots = analyze(m)
+            assert roots.nu_star < roots.gamma_star < roots.nu_star_star
+            assert calls[0] <= 110
+
+    @pytest.mark.parametrize("power", [8, 32])
+    def test_steep_measure_falls_back_to_bisection(self, monkeypatch, power):
+        # past its maximal root g grows like v^(power + 1), so each Newton step
+        # from R covers only about 1/(power + 1) of the way; the safeguard
+        # bisects instead (without it, 50 and 159 evaluations)
+        radii = np.linspace(0.0, 1000.0, 2000)
+        omega = TabulatedOmega(tuple(zip(radii, 0.5 + (radii / 10.0) ** power)))
+        m = MajorantModel(1.0, 1000.0, omega)
+        ns, nss = _scanned_roots(_knot_g(m)[0], radii)
+        calls = self._count_g(monkeypatch)
+        roots = analyze(m)
+        assert calls[0] <= 40
+        assert roots.nu_star == pytest.approx(ns, rel=1e-12, abs=0.0)
+        assert roots.nu_star_star == pytest.approx(nss, rel=1e-12, abs=0.0)
+
+    def test_hoelder_radii_agree_with_bisection(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            m = _hoelder(rng, rng.uniform(0.05, 0.9), 10.0)
+            om = m.omega
+            fun = partial(holder_g, HoelderParams(om.l0, om.alpha, om.nu, m.eta))
+            r_bar = ((1.0 - om.nu) / om.l0) ** (1.0 / om.alpha)
+            ns, nss = bisect_sign_change(fun, 0.0, r_bar), bisect_sign_change(fun, r_bar, m.R)
+            roots = analyze(m)
+            assert roots.nu_star == pytest.approx(ns, rel=1e-12, abs=0.0)
+            assert roots.nu_star_star == pytest.approx(nss, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("knots", [16, 200, 2000])
+    def test_tabulated_radii_agree_with_bisection(self, knots):
+        rng = np.random.default_rng(33 + knots)
+        for _ in range(20):
+            m = _tabulated(rng, knots)
+            fun, radii = _knot_g(m)
+            if fun(m.R) <= 0.0 or min(fun(float(r)) for r in radii) > -1e-6:
+                continue  # no maximal root inside R, or too near tangency
+            ns, nss = _scanned_roots(fun, radii)
+            roots = analyze(m)
+            assert roots.nu_star == pytest.approx(ns, rel=1e-12, abs=0.0)
+            assert roots.nu_star_star == pytest.approx(nss, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("l0, alpha, nu, eta, R, root", [
+        (1e-300, 0.3, 0.0, 1.0, 10.0, 1.0),  # omega reaches 1 past every float
+        (1e-200, 1.0, 0.0, 1.0, 2.0, 1.0),
+        (0.0, 1.0, 0.5, 1e-300, 1e-299, 2e-300),
+        (1e-300, 0.3, 0.5, 1e300, 1e308, 2e300),  # v**(1 + alpha) overflows at R
+        (1e-300, 0.3, 0.0, 1e-300, 1e-299, 1e-300),
+    ])
+    def test_extreme_scales_agree_with_bisection(self, l0, alpha, nu, eta, R, root):
+        m = MajorantModel(eta, R, HoelderOmega(l0, alpha, nu))
+
+        def fun(v):  # grouped so that no power overflows
+            return eta - v * ((1.0 - nu) - l0 * v ** alpha / (1.0 + alpha))
+
+        ns = analyze(m).nu_star
+        assert ns == pytest.approx(bisect_sign_change(fun, 0.0, R), rel=1e-12, abs=0.0)
+        assert ns == pytest.approx(root, rel=1e-12, abs=0.0)
+        assert g(m, ns) <= 0.0 < g(m, math.nextafter(ns, 0.0))
