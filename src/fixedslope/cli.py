@@ -9,9 +9,15 @@ bit for bit.
 Exit codes: 0 success, 1 certification refused by certify or a certified
 solve that fails its majorization check (the documents are still
 written), 2 invalid input, 3 runtime evaluation failure.
+
+main() may be called repeatedly in one process.  The argument parser is
+built on the first call and reused: it holds no per-call state (parse_args
+returns a fresh namespace, and help is sized when it is formatted).
+Nothing else is kept between calls.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,6 +315,7 @@ def _add_problem_arguments(sub, with_measure=True):
                          help="where the continuity measure comes from")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fixedslope",

@@ -35,6 +35,7 @@ v_{k+1} = phi(v_k).
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NuNotContractive, RadiusOutOfRange
@@ -74,12 +75,16 @@ class HoelderOmega:
     def integral(self, v):
         """Exact integral of omega over [0, v]."""
         try:
-            return self.nu * v + self.l0 * v ** (1.0 + self.alpha) / (1.0 + self.alpha)
+            power = v ** (1.0 + self.alpha)
+            if power >= sys.float_info.min or v <= 0.0:
+                return self.nu * v + self.l0 * power / (1.0 + self.alpha)
         except OverflowError:
-            # v**(1 + alpha) overflows where omega(v) * v need not.  The
-            # regrouped product is not the default: it rounds differently
-            # in the last bit, which moves bisected radii by an ulp.
-            return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
+            pass
+        # v**(1 + alpha) overflows, or underflows below the normal floats,
+        # where omega(v) * v need not.  The regrouped product is not the
+        # default: it rounds differently in the last bit, which moves radii
+        # by an ulp.
+        return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
 
     def radius_where_one(self):
         """Smallest v with omega(v) = 1; inf when omega stays below 1 on all floats."""

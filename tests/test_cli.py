@@ -2,18 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify, not_certified
-from fixedslope.cli import certificate_to_doc, main, read_certificate
+from fixedslope import __version__
+from fixedslope.cli import _build_parser, certificate_to_doc, main, read_certificate
 from fixedslope.comparison import ConditionReport
 from fixedslope.majorant import HoelderOmega, MajorantModel
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import eta_at_start, fsi_solve, nu_at_start
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = ["scalar_quadratic", "scalar_holder", "poly2d", "linear", "chandrasekhar"]
 
 
 def run(tmp_path, monkeypatch, argv):
@@ -365,6 +372,78 @@ class TestListProblems:
         for name in ["scalar_quadratic", "scalar_holder", "poly2d", "linear",
                      "chandrasekhar"]:
             assert name in out
+
+    def test_catalog_in_a_fresh_process(self, tmp_path):
+        # the console script's path: a new process builds its parser once
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "fixedslope.cli", "list-problems"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        for name in FIXTURES:
+            assert name in done.stdout
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process; no call leaves state for the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flag_does_not_stick(self, tmp_path, monkeypatch):
+        assert run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--no-certificate"]) == 0
+        assert run(tmp_path, monkeypatch, ["solve", "scalar_quadratic"]) == 0
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["certificate"] == "attached"
+
+    def test_interleaved_calls_write_identical_documents(self, tmp_path, monkeypatch):
+        a = ["solve", "poly2d", "--measure", "direct", "--radii", "4", "--samples", "8"]
+        b = ["solve", "scalar_quadratic", "--no-certificate", "--max-iter", "3"]
+        names = ["trace.csv", "solve_report.json"]
+        code = run(tmp_path, monkeypatch, a)
+        first = [(tmp_path / n).read_bytes() for n in names]
+        run(tmp_path, monkeypatch, b)
+        assert [(tmp_path / n).read_bytes() for n in names] != first
+        assert run(tmp_path, monkeypatch, a) == code
+        assert [(tmp_path / n).read_bytes() for n in names] == first
+
+    def test_patched_fixture_builder_is_used_after_caching(self, tmp_path, monkeypatch):
+        assert run(tmp_path, monkeypatch, ["list-problems"]) == 0
+        seen = []
+
+        def recording_fixture(name, **kw):
+            seen.append(name)
+            return build_fixture(name, **kw)
+
+        monkeypatch.setattr("fixedslope.cli.build_fixture", recording_fixture)
+        assert run(tmp_path, monkeypatch, ["certify", "poly2d"]) == 0
+        assert seen == ["poly2d"]
+
+    def test_failed_parse_leaves_the_parser_usable(self, tmp_path, monkeypatch):
+        argv = ["certify", "scalar_quadratic"]
+        assert run(tmp_path, monkeypatch, argv + ["--slack-tol", "1e-9"]) == 2
+        assert not any(tmp_path.iterdir())
+        assert run(tmp_path, monkeypatch, argv) == 0
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert doc["status"] == "certified"
+
+    def test_version_twice(self, tmp_path, monkeypatch, capsys):
+        for _ in range(2):
+            assert run(tmp_path, monkeypatch, ["--version"]) == 0
+            assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_help_follows_the_terminal_width(self, tmp_path, monkeypatch, capsys):
+        outs = []
+        for columns in (40, 120, 40):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert run(tmp_path, monkeypatch, ["certify", "--help"]) == 0
+            outs.append(capsys.readouterr().out)
+        narrow, wide, narrow_again = outs
+        help_line = "fixture name or path to a problem-spec .json"
+        assert help_line in wide and help_line not in narrow
+        assert len(narrow.splitlines()) > len(wide.splitlines())
+        assert narrow_again == narrow
 
 
 class TestProblemSpecFile:

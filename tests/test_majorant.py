@@ -80,6 +80,12 @@ class TestOmegaMeasures:
         # 1e200^2 overflows on the way, omega(1e200) * 1e200 / 2 does not
         assert HoelderOmega(1e-200, 1.0).integral(1e200) == 5e199
 
+    def test_hoelder_tiny_reach(self):
+        # 1.6e-300^2 underflows to 0, omega(1.6e-300) * 1.6e-300 / 2 does not
+        om = HoelderOmega(1e299, 1.0)
+        assert om.integral(1.6e-300) == pytest.approx(1.28e-301, rel=1e-15, abs=0.0)
+        assert om.integral(0.0) == 0.0
+
     def test_hoelder_validation(self):
         with pytest.raises(ValueError):
             HoelderOmega(-1.0, 1.0, 0.0)
@@ -469,6 +475,7 @@ class TestRootIteration:
         (0.0, 1.0, 0.5, 1e-300, 1e-299, 2e-300),
         (1e-300, 0.3, 0.5, 1e300, 1e308, 2e300),  # v**(1 + alpha) overflows at R
         (1e-300, 0.3, 0.0, 1e-300, 1e-299, 1e-300),
+        (1e299, 1.0, 0.0, 1.5e-300, 1e-299, 1.6333997346592445e-300),  # v**2 underflows
     ])
     def test_extreme_scales_agree_with_bisection(self, l0, alpha, nu, eta, R, root):
         m = MajorantModel(eta, R, HoelderOmega(l0, alpha, nu))
