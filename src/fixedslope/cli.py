@@ -139,19 +139,29 @@ def _parse_params(tokens):
 
 
 def _load_fixture(args):
-    """Fixture from a name plus key=value tokens, or from a spec file."""
-    name = args.problem
+    """Fixture from a name plus key=value tokens, or from a spec file.
+
+    The command line wins: key=value tokens over the spec's params and R,
+    --norm over the spec's norm.  Without either the norm is "max".
+    """
+    name, norm = args.problem, args.norm
     params = _parse_params(args.params)
     if name.endswith(".json"):
         with open(name) as fh:
             doc = json.load(fh)
-        file_params = dict(doc.get("params", {}))
+        if not isinstance(doc, dict):
+            raise BadParameters(f"problem spec must be a JSON object, got {type(doc).__name__}")
+        name, file_params = doc.get("fixture"), doc.get("params", {})
+        if not isinstance(name, str):
+            raise BadParameters(f"problem spec 'fixture' must be a name, got {name!r}")
+        if not isinstance(file_params, dict):
+            kind = type(file_params).__name__
+            raise BadParameters(f"problem spec 'params' must be an object, got {kind}")
         if "R" in doc:
-            file_params["R"] = doc["R"]
-        file_params.update(params)  # command-line tokens win
-        norm = doc.get("norm", args.norm)
-        return build_fixture(doc["fixture"], norm=norm, **file_params)
-    return build_fixture(name, norm=args.norm, **params)
+            file_params = {**file_params, "R": doc["R"]}
+        params = {**file_params, **params}
+        norm = norm or doc.get("norm")
+    return build_fixture(name, norm=norm or "max", **params)
 
 
 def _sampling(fixture, args):
@@ -164,7 +174,7 @@ def _obtain_model(fixture, args):
     """Majorant model per --measure: fixture closed form or estimated."""
     measure = args.measure
     if measure == "auto":
-        measure = "analytic" if fixture.analytic is not None else "direct"
+        measure = "analytic" if fixture.analytic is not None else "centered"
     if measure == "analytic":
         return analytic_model(fixture)
     return estimate_majorant(fixture.problem, mode=measure, **_sampling(fixture, args))
@@ -303,7 +313,8 @@ def _cmd_list(args):
 def _add_problem_arguments(sub, with_measure=True):
     sub.add_argument("problem", help="fixture name or path to a problem-spec .json")
     sub.add_argument("params", nargs="*", help="fixture parameters as key=value")
-    sub.add_argument("--norm", choices=NORM_KINDS, default="max")
+    sub.add_argument("--norm", choices=NORM_KINDS,
+                     help="vector norm (default: the spec file's norm, else max)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--radii", type=int, default=DEFAULT_NUM_RADII,
                      help="number of estimation radii (uniform up to R)")
@@ -312,7 +323,8 @@ def _add_problem_arguments(sub, with_measure=True):
     if with_measure:
         sub.add_argument("--measure", choices=("auto", "analytic", "direct", "centered"),
                          default="auto",
-                         help="where the continuity measure comes from")
+                         help="where the continuity measure comes from (auto: the "
+                              "fixture's closed form if it has one, else centered)")
 
 
 @functools.cache

@@ -35,7 +35,6 @@ v_{k+1} = phi(v_k).
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import NuNotContractive, RadiusOutOfRange
@@ -73,17 +72,12 @@ class HoelderOmega:
         return self.nu + self.l0 * v ** self.alpha
 
     def integral(self, v):
-        """Exact integral of omega over [0, v]."""
-        try:
-            power = v ** (1.0 + self.alpha)
-            if power >= sys.float_info.min or v <= 0.0:
-                return self.nu * v + self.l0 * power / (1.0 + self.alpha)
-        except OverflowError:
-            pass
-        # v**(1 + alpha) overflows, or underflows below the normal floats,
-        # where omega(v) * v need not.  The regrouped product is not the
-        # default: it rounds differently in the last bit, which moves radii
-        # by an ulp.
+        """Exact integral of omega over [0, v].
+
+        The factor v**alpha * v keeps the scale of omega(v) * v near both
+        ends of the float range, where v**(1 + alpha) alone overflows or
+        underflows.
+        """
         return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
 
     def radius_where_one(self):

@@ -1,10 +1,12 @@
-"""Bundled nonlinear test problems with analytically known majorant data.
+"""Bundled nonlinear test problems with analytically known measures.
 
 Each fixture packages an operator, its fixed slope and a starting point,
-and where a closed form exists also the exact Hoelder data (l0, alpha, nu)
-of the iteration map plus the tight first-step bound eta = ||B F(x0)||.
-That makes certificates, traces and the measure estimator checkable
-against hand-computable values.
+and where a closed form exists also the exact Hoelder measure
+nu + l0 v^alpha of the iteration map.  The first-step bound
+eta = ||B F(x0)|| is not fixture data: analytic_model takes it from the
+problem through solver.eta_at_start, as the estimator does.  That makes
+certificates, traces and the measure estimator checkable against
+hand-computable values.
 
 Operators act on the last axis, so they take a point or a stack alike.
 Fixture builders may invert a small dense matrix to construct the slope
@@ -18,36 +20,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import HoelderParams
 from .errors import BadParameters, UnknownFixture
-from .majorant import MajorantModel
-from .norms import vector_norm
-from .solver import Problem
+from .majorant import HoelderOmega, MajorantModel
+from .solver import Problem, eta_at_start
 
 
 @dataclass(frozen=True)
 class Fixture:
     """A bundled problem plus whatever analytic metadata it supports.
 
-    analytic: Hoelder majorant data of the iteration map, exact for this
-    operator (None when no closed form is known).
+    analytic: the closed-form Hoelder measure of the iteration map, exact
+    for this operator (None when no closed form is known).  It holds no
+    eta: a model takes eta = ||B F(x0)|| from the problem.
     """
 
     name: str
     problem: Problem
-    analytic: HoelderParams | None = None
+    analytic: HoelderOmega | None = None
     known_solution: np.ndarray | None = None
 
 
 def analytic_model(fixture):
-    """Majorant model from the fixture's closed-form Hoelder data."""
+    """Majorant model from the fixture's closed-form measure and eta = ||B F(x0)||."""
     if fixture.analytic is None:
         raise BadParameters(f"fixture {fixture.name!r} has no analytic majorant data")
-    return MajorantModel(
-        eta=fixture.analytic.eta,
-        R=fixture.problem.R,
-        omega=fixture.analytic.omega(),
-    )
+    return MajorantModel(eta_at_start(fixture.problem), fixture.problem.R, fixture.analytic)
 
 
 def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
@@ -72,11 +69,8 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
         norm=norm,
     )
     nu = abs(2.0 * b * x0 - 1.0)
-    eta = abs(b * (x0 * x0 - c))
     # nu >= 1 means the map is not contractive at x0; no certifiable closed form.
-    analytic = None
-    if nu < 1.0 and eta > 0.0:
-        analytic = HoelderParams(l0=2.0 * abs(b), alpha=1.0, nu=nu, eta=eta)
+    analytic = HoelderOmega(2.0 * abs(b), 1.0, nu) if nu < 1.0 else None
     solution = math.sqrt(c) if x0 >= 0.0 else -math.sqrt(c)
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
@@ -114,12 +108,7 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
         norm=norm,
     )
     nu = abs(b * d ** alpha - 1.0)
-    eta = float(abs(b) * abs(f(np.array([x0]))[0]))
-    if eta == 0.0:
-        raise BadParameters("x0 already solves the problem; pick another c or x0")
-    analytic = None
-    if nu < 1.0:
-        analytic = HoelderParams(l0=abs(b), alpha=alpha, nu=nu, eta=eta)
+    analytic = HoelderOmega(abs(b), alpha, nu) if nu < 1.0 else None
     solution = a - math.copysign(((1.0 + alpha) * abs(c)) ** (1.0 / (1.0 + alpha)), c)
     return Fixture("scalar_holder", problem, analytic, np.array([solution]))
 
@@ -175,11 +164,7 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
 
     slope = np.linalg.inv(jac(x0))
     problem = Problem(f=f, jacobian=jac, slope=slope, x0=x0, R=R, norm=norm)
-    eta = vector_norm(slope @ f(x0), norm)
-    if eta == 0.0:
-        raise BadParameters("x0 already solves the system; move it off the root")
-    l0 = _diag_quadratic_l0(slope, norm)
-    analytic = HoelderParams(l0=l0, alpha=1.0, nu=0.0, eta=eta)
+    analytic = HoelderOmega(_diag_quadratic_l0(slope, norm), 1.0, 0.0)
     return Fixture("poly2d", problem, analytic, root.copy())
 
 
@@ -187,8 +172,8 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
             x0=(0.0, 0.0), R=10.0):
     """F(x) = A x - b with the exact slope B = A^{-1}: one-step convergence.
 
-    B F'(x) = I everywhere, so the measure is identically zero and
-    eta = ||x0 - A^{-1} b||.
+    B F'(x) = I everywhere, so the measure is identically zero, and the
+    first step lands on the solution.
     """
     A = np.asarray(A, dtype=float)
     b_vec = np.asarray(b_vec, dtype=float)
@@ -209,11 +194,7 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
         R=R,
         norm=norm,
     )
-    eta = vector_norm(x0 - solution, norm)
-    if eta == 0.0:
-        raise BadParameters("x0 already solves the system")
-    analytic = HoelderParams(l0=0.0, alpha=1.0, nu=0.0, eta=eta)
-    return Fixture("linear", problem, analytic, solution)
+    return Fixture("linear", problem, HoelderOmega(0.0, 1.0, 0.0), solution)
 
 
 def _chandrasekhar(norm, c=0.9, n=16, R=None):

@@ -431,26 +431,32 @@ def nu_at_start(problem):
 
 
 def eta_at_start(problem):
-    """||B F(x0)||, the exact first-step norm."""
+    """||B F(x0)||, the exact first-step norm: the eta of every majorant model.
+
+    eta = 0 is refused with BadParameters: x0 already solves the problem,
+    so there is no ball to certify.
+    """
     r, failed = _eval_rows(problem, problem.x0[None])
     if failed:
         raise failed[0]
-    return vector_norm(problem.slope @ r[0], problem.norm)
+    eta = vector_norm(problem.slope @ r[0], problem.norm)
+    if eta == 0.0:
+        raise BadParameters("x0 already solves the problem; nothing to certify")
+    return eta
 
 
 def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
                       samples_per_radius=DEFAULT_SAMPLES, seed=0):
     """Tabulated majorant model with the tight first-step bound.
 
-    eta is computed as exactly ||B F(x0)||.  In centered mode the measure
-    is the centered estimate shifted up by nu = ||B F'(x0) - I||, which
-    dominates the direct estimate pointwise by the triangle inequality.
+    eta is exactly ||B F(x0)|| (eta_at_start, which refuses a solved
+    start).  In centered mode the measure is the centered estimate
+    shifted up by nu = ||B F'(x0) - I||, which dominates the direct
+    estimate pointwise by the triangle inequality.
     When nu >= 1 either mode returns the constant measure nu without
     sampling: it is a true lower envelope, and certify refuses it.
     """
     eta = eta_at_start(problem)
-    if eta == 0.0:
-        raise BadParameters("x0 already solves the problem; nothing to certify")
     nu = nu_at_start(problem)
     if nu >= 1.0:
         return MajorantModel(eta=eta, R=problem.R,

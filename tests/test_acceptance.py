@@ -190,7 +190,7 @@ def test_criterion_8_estimator_fidelity():
 
         for t in np.linspace(0.05, 1.6, 32):
             fx = build_fixture("poly2d", x0=(1.0 + t, 1.0 - t))
-            q = 2.0 * fx.analytic.l0 * fx.analytic.eta
+            q = 2.0 * fx.analytic.l0 * analytic_model(fx).eta
             if abs(q - 1.0) / max(q, 1.0) < 0.02:
                 continue
             cert_analytic = certify(analytic_model(fx))

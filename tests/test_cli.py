@@ -21,6 +21,14 @@ from fixedslope.solver import eta_at_start, fsi_solve, nu_at_start
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = ["scalar_quadratic", "scalar_holder", "poly2d", "linear", "chandrasekhar"]
+# Starts where F(x0) = 0 exactly, one per fixture with a closed-form measure.
+SOLVED_STARTS = [
+    ["scalar_quadratic", "c=4", "x0=2"],
+    ["scalar_holder", "x0=1", "c=-0.6666666666666666"],
+    ["poly2d", "x0=1,1"],
+    ["linear", "x0=1,1"],
+]
+SOLVED = "x0 already solves the problem; nothing to certify"
 
 
 def run(tmp_path, monkeypatch, argv):
@@ -119,6 +127,20 @@ class TestCertify:
     def test_unknown_fixture_exit_2(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["certify", "bogus"]) == 2
 
+    @pytest.mark.parametrize("problem", SOLVED_STARTS, ids=lambda p: p[0])
+    def test_solved_start_exit_2(self, tmp_path, monkeypatch, capsys, problem):
+        assert run(tmp_path, monkeypatch, ["certify", *problem]) == 2
+        assert capsys.readouterr().err == f"error: {SOLVED}\n"
+        assert not (tmp_path / "certificate.json").exists()
+
+    def test_auto_measure_is_centered_without_a_closed_form(self, tmp_path, monkeypatch):
+        argv = ["certify", "chandrasekhar", "n=8", "--norm", "one", "--radii", "4",
+                "--samples", "8"]
+        run(tmp_path, monkeypatch, argv + ["--out", "auto.json"])
+        run(tmp_path, monkeypatch, argv + ["--measure", "centered", "--out", "centered.json"])
+        auto = (tmp_path / "auto.json").read_bytes()
+        assert auto == (tmp_path / "centered.json").read_bytes()
+
     def test_bad_params_exit_2(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch,
                    ["certify", "scalar_quadratic", "c=-5"]) == 2
@@ -185,6 +207,13 @@ class TestSolve:
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["certificate"] == "refused: nu_too_large"
+
+    @pytest.mark.parametrize("problem", SOLVED_STARTS, ids=lambda p: p[0])
+    def test_solved_start_solves_in_no_steps(self, tmp_path, monkeypatch, problem):
+        assert run(tmp_path, monkeypatch, ["solve", *problem]) == 0
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["steps"] == 0
+        assert report["certificate"] == f"unobtainable: {SOLVED}"
 
     def test_slack_tol_not_an_option(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--slack-tol", "1e-9"])
@@ -462,3 +491,26 @@ class TestProblemSpecFile:
     def test_broken_file_exit_2(self, tmp_path, monkeypatch):
         (tmp_path / "broken.json").write_text("{not json")
         assert run(tmp_path, monkeypatch, ["certify", "broken.json"]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"fixture": "linear", "params": [1, 2]},
+        {"fixture": "linear", "params": None},
+        [1, 2],
+        "linear",
+        {"fixture": ["linear"]},
+        {"params": {}},
+    ], ids=["params-list", "params-null", "list", "string", "fixture-list", "no-fixture"])
+    def test_malformed_spec_exit_2(self, tmp_path, monkeypatch, capsys, spec):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run(tmp_path, monkeypatch, ["certify", "spec.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem spec ") and "Traceback" not in err
+
+    def test_norm_flag_overrides_the_spec(self, tmp_path, monkeypatch):
+        # x0 = (0, 0), solution (1, 1): nu_star = eta = ||(1, 1)||
+        spec = {"fixture": "linear", "norm": "max", "params": {"x0": [0.0, 0.0]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        for flags, nu_star in [(["--norm", "one"], 2.0), ([], 1.0)]:
+            assert run(tmp_path, monkeypatch, ["certify", "spec.json", *flags]) == 0
+            doc = json.loads((tmp_path / "certificate.json").read_text())
+            assert doc["nu_star"] == nu_star

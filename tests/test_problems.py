@@ -10,9 +10,17 @@ from fixedslope.certificate import certify
 from fixedslope.errors import BadParameters, UnknownFixture
 from fixedslope.norms import vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture, fixture_names
-from fixedslope.solver import estimate_majorant, estimate_omega, fsi_solve
+from fixedslope.solver import estimate_majorant, estimate_omega, eta_at_start, fsi_solve
 
 SQRT2 = math.sqrt(2.0)
+
+# Starts where F(x0) = 0 exactly, one per fixture with a closed-form measure.
+SOLVED_STARTS = [
+    ("scalar_quadratic", dict(c=4.0, x0=2.0)),
+    ("scalar_holder", dict(x0=1.0, c=-0.6666666666666666)),
+    ("poly2d", dict(x0=(1.0, 1.0))),
+    ("linear", dict(x0=(1.0, 1.0))),
+]
 
 
 class TestCatalog:
@@ -60,7 +68,7 @@ class TestStackContract:
 class TestScalarQuadratic:
     def test_bundled_constants(self):
         fx = build_fixture("scalar_quadratic")
-        assert fx.analytic.eta == 0.5
+        assert analytic_model(fx).eta == 0.5
         assert fx.analytic.l0 == 0.5
         assert fx.analytic.nu == 0.0
         assert fx.known_solution[0] == SQRT2
@@ -69,7 +77,7 @@ class TestScalarQuadratic:
         # |B F'(x) - 1| = |x - 1|: l0 = 1, eta = 0.5 = eta_max
         fx = build_fixture("scalar_quadratic", x0=1.0, b=0.5)
         assert fx.analytic.l0 == 1.0
-        assert fx.analytic.eta == 0.5
+        assert analytic_model(fx).eta == 0.5
         assert fx.analytic.nu == 0.0
 
     def test_non_contractive_start_has_no_analytic(self):
@@ -82,7 +90,7 @@ class TestLinear:
         fx = build_fixture("linear")
         cert = certify(analytic_model(fx))
         assert cert.certified
-        assert cert.nu_star == pytest.approx(fx.analytic.eta, abs=1e-12)
+        assert cert.nu_star == pytest.approx(analytic_model(fx).eta, abs=1e-12)
         assert cert.lambda_star == fx.problem.R
         assert cert.uniqueness_boundary == "closed"
 
@@ -91,6 +99,29 @@ class TestLinear:
         x, trace = fsi_solve(fx.problem)
         assert trace.num_steps == 1
         assert x == pytest.approx(fx.known_solution, abs=1e-14)
+
+
+class TestEtaFromTheProblem:
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("name, kw", [
+        ("scalar_quadratic", {}), ("scalar_quadratic", dict(x0=1.0, b=0.5)),
+        ("scalar_holder", {}), ("poly2d", {}), ("linear", {}),
+        ("linear", dict(x0=(0.3, -0.7))),
+    ])
+    def test_analytic_model_eta_is_eta_at_start(self, name, kw, norm):
+        fx = build_fixture(name, norm=norm, **kw)
+        assert analytic_model(fx).eta == eta_at_start(fx.problem)
+
+    @pytest.mark.parametrize("name, kw", SOLVED_STARTS)
+    def test_solved_start_builds_and_is_refused_once(self, name, kw):
+        fx = build_fixture(name, **kw)
+        assert fx.analytic is not None
+        messages = []
+        for make in (analytic_model, lambda f: estimate_majorant(f.problem)):
+            with pytest.raises(BadParameters) as info:
+                make(fx)
+            messages.append(str(info.value))
+        assert messages == ["x0 already solves the problem; nothing to certify"] * 2
 
 
 class TestKnownSolutions:
