@@ -7,8 +7,8 @@ traces, and compare the certification threshold with the classical
 alternatives.
 """
 
-from .certificate import HoelderParams, certify, check_holder_condition
-from .comparison import compare_report
+from .certificate import certify
+from .comparison import HoelderParams, check_holder_condition, compare_report
 from .errors import (
     BadParameters,
     CertificateMissing,

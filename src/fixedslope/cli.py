@@ -24,8 +24,8 @@ import sys
 from dataclasses import MISSING, fields
 
 from . import __version__
-from .certificate import ConvergenceCertificate, HoelderParams, certify
-from .comparison import ORDER_STATED, compare_report
+from .certificate import ConvergenceCertificate, certify
+from .comparison import HoelderParams, compare_report
 from .errors import BadParameters, FixedSlopeError, RadiusOutOfRange, UnknownFixture
 from .norms import NORM_KINDS
 from .problems import analytic_model, build_fixture, fixture_names, fixture_schema
@@ -265,8 +265,7 @@ def _format_compare_table(rep):
     ]:
         lines.append(f"{label:<13} {num(value)}")
     lines.append(f"containment [r*, r**] in [nu*, nu**]: {yn(rep.containment_holds)}")
-    lines.append(f"root order as stated elsewhere: {ORDER_STATED}")
-    lines.append(f"root order computed here:       {rep.order_computed or 'n/a'}")
+    lines.append(f"root order computed here: {rep.order_computed or 'n/a'}")
     return "\n".join(lines)
 
 

@@ -7,27 +7,70 @@ Three conditions are compared on the same Hoelder data (l0, alpha, nu, eta):
   * the Ahues/Argyros fixed-slope condition, built on the steeper
         f(v) = l0 v^(1+alpha) - (1-delta) v + eta ,   delta = nu ,
     which is exactly the majorant condition with l0 inflated by (1+alpha)
-    - that reformulation is how f is handled here, so the radii of both
-    sides come from the same majorant.analyze;
+    - that reformulation is how f is handled here;
   * the classical centered Kantorovich condition 2 l0 eta <= 1
-    (Lipschitz case alpha = 1, nu = 0 only).
+    (Lipschitz case alpha = 1, nu = 0 only), which there is the majorant
+    condition itself.
 
-f > g for v > 0, so the f-based condition is strictly stronger; the
-admissible eta shrinks by the factor (1+alpha)^(1/alpha), i.e. by 2 in
-the Lipschitz case.  The same pointwise gap forces the computed root
-order nu_star <= r_star <= r_star_star <= nu_star_star; the rival
-write-up states r_star < nu_star instead (ORDER_STATED), so the report
-gives the computed ordering rather than asserting either.
+Whether a condition holds is certify's verdict on its model, read from
+one majorant.analyze per side.  The closed form of the condition,
+
+    l0 * eta**alpha <= (1 - nu)**(alpha + 1) * (alpha / (1 + alpha))**alpha
+
+with equality at eta = eta_max (tangency), gives only eta_max.  f > g for
+v > 0, so the f-based condition is strictly stronger; the admissible eta
+shrinks by the factor (1+alpha)^(1/alpha), i.e. by 2 in the Lipschitz
+case.  The same gap forces nu_star <= r_star <= r_star_star <=
+nu_star_star, which the report checks on the computed roots.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import majorant
-from .certificate import HoelderParams, check_holder_condition, holder_eta_max
-from .majorant import ROOT_TOL
+from .majorant import ROOT_TOL, HoelderOmega, MajorantModel
 
-ORDER_STATED = "r_star < nu_star <= nu_star_star"
+
+@dataclass(frozen=True)
+class HoelderParams:
+    """Center-Hoelder data (l0, alpha, nu) plus the first-step bound eta."""
+
+    l0: float
+    alpha: float
+    nu: float
+    eta: float
+
+    def __post_init__(self):
+        self.omega()  # validates l0, alpha and nu
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+
+    def omega(self):
+        return HoelderOmega(self.l0, self.alpha, self.nu)
+
+    def model(self, R):
+        return MajorantModel(eta=self.eta, R=R, omega=self.omega())
+
+
+def _holder_rhs(alpha, nu):
+    """Right-hand side (1 - nu)^(alpha + 1) (alpha / (1 + alpha))^alpha of the condition."""
+    return (1.0 - nu) ** (alpha + 1.0) * (alpha / (1.0 + alpha)) ** alpha
+
+
+def check_holder_condition(p):
+    """Closed-form condition for Hoelder measures (inclusive), for callers outside the package."""
+    return p.l0 * p.eta ** p.alpha <= _holder_rhs(p.alpha, p.nu)
+
+
+def holder_eta_max(l0, alpha, nu):
+    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
+    HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
+    if l0 == 0.0:
+        return math.inf
+    try:
+        return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
 def _rival_params(p, delta=None):
@@ -36,11 +79,14 @@ def _rival_params(p, delta=None):
     return HoelderParams(p.l0 * (1.0 + p.alpha), p.alpha, d, p.eta)
 
 
-def ahues_condition(p, delta=None):
-    """(holds, eta_max) for the rival condition
-    l0 eta^alpha <= (1-nu)^(alpha+1) [alpha/(1+alpha)]^alpha (1+alpha)^(-1)."""
-    q = _rival_params(p, delta)
-    return check_holder_condition(q), holder_eta_max(q.l0, q.alpha, q.nu)
+def _side(params, R):
+    """(holds, roots): certify's verdict on a side's model, and its root analysis.
+
+    A side holds when certify would certify it or refuse it only for R
+    (radius_too_small); a Hoelder omega(0) = nu is always below 1.
+    """
+    roots = majorant.analyze(params.model(R))
+    return roots.nu_star is not None or roots.nu_star_needed is not None, roots
 
 
 @dataclass(frozen=True)
@@ -69,32 +115,29 @@ class ConditionReport:
 def compare_report(p, R, *, delta=None):
     """Evaluate all conditions and radii on one parameter set.
 
-    Each side's radii come from one majorant.analyze on [0, R].  Radii that
+    Each side's verdict and radii come from one majorant.analyze on [0, R];
+    the closed forms give only the eta_max fields and the ratio.  Radii that
     do not exist are None, except that a rival root beyond R (rival
     condition holds) and a maximal root beyond R read as R; the containment
     check runs only when all four roots are strictly inside R.
     Raises ValueError for a bad R, even when no condition holds.
     """
-    model = p.model(R)
     rival = _rival_params(p, delta)
-    new_holds = check_holder_condition(p)
+    new_holds, roots = _side(p, R)
+    rival_holds, rival_roots = _side(rival, R)
     new_emax = holder_eta_max(p.l0, p.alpha, p.nu)
-    rival_holds, rival_emax = ahues_condition(p, delta)
-    kant = None
-    if p.alpha == 1.0 and p.nu == 0.0:
-        kant = 2.0 * p.l0 * p.eta <= 1.0  # centered Kantorovich condition
+    rival_emax = holder_eta_max(rival.l0, rival.alpha, rival.nu)
+    # 2 l0 eta <= 1 is the majorant condition itself at alpha = 1, nu = 0
+    kant = new_holds if p.alpha == 1.0 and p.nu == 0.0 else None
 
-    ns = nss = lam = None
-    if new_holds:
-        roots = majorant.analyze(model)
-        ns, lam = roots.nu_star, roots.lambda_star
-        if ns is not None:
-            nss = R if roots.nu_star_star is None else roots.nu_star_star
+    ns, lam = roots.nu_star, roots.lambda_star
+    nss = None
+    if ns is not None:
+        nss = R if roots.nu_star_star is None else roots.nu_star_star
     rs = rss = None
     if rival_holds:
-        roots = majorant.analyze(rival.model(R))
-        rs = R if roots.nu_star is None else roots.nu_star
-        rss = R if roots.nu_star_star is None else roots.nu_star_star
+        rs = R if rival_roots.nu_star is None else rival_roots.nu_star
+        rss = R if rival_roots.nu_star_star is None else rival_roots.nu_star_star
 
     # l0 cancels from the ratio of the thresholds, so it comes from its closed
     # form even where both thresholds overflow to inf

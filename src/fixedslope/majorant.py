@@ -28,14 +28,17 @@ tangency tolerance: a minimum within ROOT_TOL * max(eta, gamma_star), the
 terms g(gamma_star) is computed from, of zero counts as a double root,
 which absorbs rounding at eta = eta_max at every scale.  analyze()
 computes all three radii in one pass and is the package's one root
-finder: certify and compare_report take every radius from it.
+finder: certify, compare_report and verify_majorization take every
+radius and every "has a root" verdict from it.  Without a root on
+[0, R], analyze also sizes nu_star_needed, the minimal root past R on
+the measure's whole domain.
 majorizing_terms() is the one generator of the majorizing sequence
 v_{k+1} = phi(v_k).
 """
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NuNotContractive, RadiusOutOfRange
 
@@ -261,9 +264,10 @@ def _root(model, pos, g_pos, neg):
 class RootAnalysis:
     """All radii of one majorant model.
 
-    nu_star is None when g has no root, and then so are the others;
-    nu_star_star is None when the maximal root lies beyond R; case is
-    "B1" (closed uniqueness ball) or "B2" (open ball).
+    nu_star is None when g has no root on [0, R], and then so are the
+    other radii; nu_star_star is None when the maximal root lies beyond R;
+    case is "B1" (closed uniqueness ball) or "B2" (open ball).
+    nu_star_needed is set only without nu_star: the root past R, if any.
     """
 
     gamma_star: float
@@ -271,6 +275,7 @@ class RootAnalysis:
     nu_star_star: float | None
     lambda_star: float | None
     case: str | None
+    nu_star_needed: float | None = None
 
 
 def _left_bracket(model):
@@ -287,14 +292,25 @@ def _left_bracket(model):
     return gam, stol, g_gam, ns
 
 
-def minimal_root(model):
-    """Minimal root nu_star of g on [0, R], or None when g has no root.
+def _needed_radius(model):
+    """Minimal root of g past R on the measure's whole domain, or None when g has none.
 
-    A minimum g(gamma_star) within ROOT_TOL*max(eta, gamma_star) of zero
-    is a double root and is returned as gamma_star itself (no root
-    iteration can resolve it better).
+    g is convex with its minimum where omega reaches 1, so one left bracket
+    with R moved there finds the root if any exists.  Where omega stays
+    below 1 on every float, g falls throughout: R moves instead to the first
+    doubling of the affine root eta/(1-nu) at which g <= 0.  That root
+    bounds the minimal root from below, since omega >= nu.
     """
-    return _left_bracket(model)[3]
+    reach = min(model.omega.radius_where_one(), model.omega.max_radius())
+    if reach <= model.R:
+        return None
+    if reach == math.inf:
+        reach = model.eta / (1.0 - nu_of(model))
+        while reach < math.inf and g(replace(model, R=reach), reach) > 0.0:
+            reach *= 2.0
+        if reach == math.inf:
+            return None
+    return _left_bracket(replace(model, R=reach))[3]
 
 
 def analyze(model):
@@ -305,10 +321,12 @@ def analyze(model):
     nu_star with a closed ball; if it runs into R with g(R) < 0 the radius
     is R, still closed since phi(R) < R; otherwise it ends at the maximal
     root, where phi is a fixed point and only the open ball is claimed.
+    Without a root on [0, R], one more left bracket past R sizes
+    nu_star_needed.
     """
     gam, stol, g_gam, ns = _left_bracket(model)
     if ns is None:
-        return RootAnalysis(gam, None, None, None, None)
+        return RootAnalysis(gam, None, None, None, None, _needed_radius(model))
     if abs(g_gam) <= stol:
         nss = ns  # double root
     else:

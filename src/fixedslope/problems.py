@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BadParameters, UnknownFixture
 from .majorant import HoelderOmega, MajorantModel
+from .norms import NORM_KINDS
 from .solver import Problem, eta_at_start
 
 
@@ -291,13 +292,16 @@ def _finite(value):
 def build_fixture(name, norm="max", **params):
     """Build a bundled fixture by name; unknown names or stray/bad parameters raise.
 
-    A value that is neither None nor finite numbers (nan, infinity, text)
-    is refused here, naming its key, before any builder runs.
+    A norm outside NORM_KINDS, and a value that is neither None nor finite
+    numbers (nan, infinity, text), naming its key, are refused here before
+    any builder runs.
     """
     try:
         builder = _BUILDERS[name][0]
     except KeyError:
         raise UnknownFixture(f"unknown fixture {name!r}; known: {fixture_names()}")
+    if norm not in NORM_KINDS:
+        raise BadParameters(f"norm must be one of {NORM_KINDS}, got {norm!r}")
     for key, value in params.items():
         if value is not None and not _finite(value):
             raise BadParameters(f"fixture parameter {key!r} must be finite numbers, got {value!r}")

@@ -310,16 +310,16 @@ def verify_majorization(trace, model):
     The scalar sequence and nu_star are computed from the model, so the
     trace does not need to have been produced with a certificate
     attached.  A model that fails the trace is reported, not raised; only
-    a model that cannot be certified at all raises CertificateMissing.
+    a model that certify refuses raises CertificateMissing.
     """
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
     try:
-        ns = majorant.minimal_root(model)
+        ns = majorant.analyze(model).nu_star
     except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
-        raise CertificateMissing("model has no majorant root, nothing to verify")
+        raise CertificateMissing("model has no majorant root in [0, R], nothing to verify")
 
     steps = range(trace.num_steps)
     seq = list(itertools.islice(majorant.majorizing_terms(model), trace.num_steps + 1))

@@ -12,19 +12,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from fixedslope.certificate import (
+from fixedslope.certificate import certify
+from fixedslope.comparison import (
     HoelderParams,
-    certify,
     check_holder_condition,
+    compare_report,
     holder_eta_max,
 )
-from fixedslope.comparison import ahues_condition
-from fixedslope.majorant import (
-    HoelderOmega,
-    MajorantModel,
-    analyze,
-    minimal_root,
-)
+from fixedslope.majorant import HoelderOmega, MajorantModel, analyze
 from fixedslope.norms import vector_norm
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
@@ -79,7 +74,7 @@ def test_criterion_1_threshold_reproduction():
         for eta in etas:
             p = HoelderParams(1.0, 1.0, 0.0, float(eta))
             assert check_holder_condition(p) == (2.0 * 1.0 * eta <= 1.0)
-            assert ahues_condition(p)[0] == (4.0 * 1.0 * eta <= 1.0)
+            assert compare_report(p, 10.0).ahues_holds == (4.0 * 1.0 * eta <= 1.0)
 
 
 def test_criterion_2_eta_max_ratio_law():
@@ -88,7 +83,8 @@ def test_criterion_2_eta_max_ratio_law():
         for alpha in [0.25, 0.5, 0.75, 1.0]:
             for nu in [0.0, 0.3, 0.6, 0.9]:
                 for l0 in [0.1, 1.0, 10.0]:
-                    rival_emax = ahues_condition(HoelderParams(l0, alpha, nu, 1.0))[1]
+                    p = HoelderParams(l0, alpha, nu, 1.0)
+                    rival_emax = compare_report(p, 10.0).ahues_eta_max
                     ratio = holder_eta_max(l0, alpha, nu) / rival_emax
                     assert abs(ratio - (1.0 + alpha) ** (1.0 / alpha)) <= 1e-12
 
@@ -98,7 +94,7 @@ def test_criterion_3_root_oracle_agreement():
                       "the sequence limit (1e-8, <=500 iters) and a 1e6-point "
                       "grid scan on 50 random models"):
         m = MajorantModel(eta=0.5, R=10.0, omega=HoelderOmega(0.5, 1.0, 0.0))
-        assert abs(minimal_root(m) - (2.0 - SQRT2)) <= 1e-10
+        assert abs(analyze(m).nu_star - (2.0 - SQRT2)) <= 1e-10
         assert abs(analyze(m).nu_star_star - (2.0 + SQRT2)) <= 1e-10
         seq = truncated_sequence(m, tol=1e-9, max_iter=500)
         assert len(seq) <= 501
@@ -119,7 +115,7 @@ def test_criterion_3_root_oracle_agreement():
             scan = eta + nu * grid + l0 * grid ** (1.0 + alpha) / (1.0 + alpha) - grid
             flips = np.flatnonzero(np.diff(np.signbit(scan)))
             assert flips.size >= 1
-            ns = minimal_root(model)
+            ns = analyze(model).nu_star
             assert abs(ns - grid[flips[0]]) <= 2.0 * resolution
             nss = analyze(model).nu_star_star
             if flips.size >= 2:
@@ -227,7 +223,7 @@ def test_criterion_10_dominance_witness():
             for eta in np.linspace(0.001, 1.2 * new_emax, 400):
                 p = HoelderParams(1.0, alpha, 0.0, float(eta))
                 new_ok = check_holder_condition(p)
-                rival_ok = ahues_condition(p)[0]
+                rival_ok = compare_report(p, 10.0).ahues_holds
                 if new_ok and not rival_ok:
                     witness += 1
                 assert not (rival_ok and not new_ok)

@@ -12,11 +12,9 @@ from fixedslope.certificate import (
     REASON_CONSTRAINT_A,
     REASON_NU_TOO_LARGE,
     REASON_RADIUS_TOO_SMALL,
-    HoelderParams,
     certify,
-    check_holder_condition,
-    holder_eta_max,
 )
+from fixedslope.comparison import HoelderParams, check_holder_condition, holder_eta_max
 from fixedslope.majorant import HoelderOmega, MajorantModel, TabulatedOmega, g
 
 SQRT2 = math.sqrt(2.0)

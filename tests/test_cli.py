@@ -394,6 +394,17 @@ def test_non_numeric_spec_file_parameter_exit_2(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["prob.json"]
 
 
+@pytest.mark.parametrize("norm", ["maxx", ["max"]], ids=["unknown", "list"])
+@pytest.mark.parametrize("fixture", ["chandrasekhar", "linear"])
+def test_bad_spec_file_norm_exit_2(tmp_path, monkeypatch, capsys, fixture, norm):
+    # refused before any builder runs, so every fixture gives the same message
+    (tmp_path / "prob.json").write_text(json.dumps({"fixture": fixture, "norm": norm}))
+    assert run(tmp_path, monkeypatch, ["certify", "prob.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: norm must be one of")
+    assert [p.name for p in tmp_path.iterdir()] == ["prob.json"]
+
+
 class TestListProblems:
     def test_catalog(self, tmp_path, monkeypatch, capsys):
         assert run(tmp_path, monkeypatch, ["list-problems"]) == 0

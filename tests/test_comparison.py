@@ -5,22 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from fixedslope.certificate import HoelderParams, check_holder_condition
-from fixedslope.comparison import _rival_params, ahues_condition, compare_report
+from fixedslope.certificate import certify
+from fixedslope.comparison import (
+    HoelderParams,
+    _rival_params,
+    check_holder_condition,
+    compare_report,
+)
 
 
 def ahues_eta_max(l0, alpha, nu):
-    return ahues_condition(HoelderParams(l0, alpha, nu, 1.0))[1]
+    return compare_report(HoelderParams(l0, alpha, nu, 1.0), R=10.0).ahues_eta_max
 
 
 class TestAhuesCondition:
     def test_lipschitz_threshold(self):
-        holds, emax = ahues_condition(HoelderParams(1.0, 1.0, 0.0, 0.25))
-        assert holds and emax == 0.25  # 4 l0 eta <= 1
+        rep = compare_report(HoelderParams(1.0, 1.0, 0.0, 0.25), R=10.0)
+        assert rep.ahues_holds and rep.ahues_eta_max == 0.25  # 4 l0 eta <= 1
 
     def test_point_between_thresholds(self):
         p = HoelderParams(1.0, 1.0, 0.0, 0.3)
-        assert not ahues_condition(p)[0]
+        assert not compare_report(p, R=10.0).ahues_holds
         assert check_holder_condition(p)  # new condition still holds
 
     def test_nu_half(self):
@@ -107,6 +112,16 @@ class TestCompareReport:
         rep2 = compare_report(HoelderParams(1.0, 1.0, 0.2, 0.01), R=10.0)
         assert rep2.kantorovich_holds is None
 
+    @pytest.mark.parametrize("rel", [1e-14, 1e-13, 1e-12, 1e-11])
+    def test_one_verdict_per_model(self, rel):
+        # past the closed form by rounding, compare holds exactly where certify certifies
+        p = HoelderParams(1.0, 1.0, 0.0, 0.5 * (1.0 + rel))
+        rep = compare_report(p, 10.0)
+        assert rep.new_holds == rep.kantorovich_holds == certify(p.model(10.0)).certified
+        q = HoelderParams(1.0, 1.0, 0.0, 0.25 * (1.0 + rel))
+        assert compare_report(q, 10.0).ahues_holds == certify(
+            _rival_params(q).model(10.0)).certified
+
     def test_delta_is_keyword_only(self):
         p = HoelderParams(1.0, 1.0, 0.0, 0.3)
         with pytest.raises(TypeError):
@@ -126,7 +141,7 @@ class TestProperties:
                 nu=rng.uniform(0.0, 0.9),
                 eta=rng.uniform(0.001, 2.0),
             )
-            rival = ahues_condition(p)[0]
+            rival = compare_report(p, R=10.0).ahues_holds
             if rival:
                 assert check_holder_condition(p)
         for alpha in np.linspace(0.2, 1.0, 9):
@@ -135,7 +150,7 @@ class TestProperties:
             rival_emax = ahues_eta_max(1.0, float(alpha), 0.0)
             eta_mid = 0.5 * (rival_emax + new_emax)
             p_mid = HoelderParams(1.0, float(alpha), 0.0, eta_mid)
-            assert check_holder_condition(p_mid) and not ahues_condition(p_mid)[0]
+            assert check_holder_condition(p_mid) and not compare_report(p_mid, R=10.0).ahues_holds
 
     def test_ratio_law(self):
         for alpha in [0.25, 0.5, 0.75, 1.0]:

@@ -13,7 +13,7 @@ import pytest
 from test_certificate import bisect_sign_change, holder_g
 
 from fixedslope import majorant
-from fixedslope.certificate import HoelderParams
+from fixedslope.comparison import HoelderParams
 from fixedslope.errors import NuNotContractive, RadiusOutOfRange
 from fixedslope.majorant import (
     HoelderOmega,
@@ -24,7 +24,6 @@ from fixedslope.majorant import (
     g,
     gamma_star,
     majorizing_terms,
-    minimal_root,
     phi,
 )
 
@@ -187,14 +186,14 @@ class TestGammaStar:
 class TestRoots:
     def test_minimal_root_quadratic(self):
         # quadratic oracle: v^2/4 - v + 1/2 = 0 -> 2 - sqrt(2)
-        assert minimal_root(quad_model()) == pytest.approx(2.0 - SQRT2, abs=1e-10)
+        assert analyze(quad_model()).nu_star == pytest.approx(2.0 - SQRT2, abs=1e-10)
 
     def test_minimal_root_tangency(self):
         # eta = eta_max: double root exactly at 1
-        assert minimal_root(quad_model(l0=1.0)) == pytest.approx(1.0, abs=1e-9)
+        assert analyze(quad_model(l0=1.0)).nu_star == pytest.approx(1.0, abs=1e-9)
 
     def test_minimal_root_absent(self):
-        assert minimal_root(quad_model(eta=1.0, l0=1.0)) is None
+        assert analyze(quad_model(eta=1.0, l0=1.0)).nu_star is None
 
     def test_maximal_root_quadratic(self):
         assert analyze(quad_model()).nu_star_star == pytest.approx(2.0 + SQRT2, abs=1e-10)
@@ -213,7 +212,7 @@ class TestRoots:
 
     def test_analyze_one_pass(self):
         assert analyze(quad_model()) == RootAnalysis(
-            2.0, minimal_root(quad_model()), pytest.approx(2.0 + SQRT2, abs=1e-10),
+            2.0, analyze(quad_model()).nu_star, pytest.approx(2.0 + SQRT2, abs=1e-10),
             pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
         assert analyze(quad_model(eta=1.0, l0=1.0)) == RootAnalysis(1.0, None, None, None, None)
 
@@ -296,7 +295,7 @@ class TestProperties:
         rng = np.random.default_rng(9)
         for _ in range(100):
             m = random_hoelder_model(rng, certifiable=True)
-            ns = minimal_root(m)
+            ns = analyze(m).nu_star
             assert ns is not None
             assert abs(g(m, ns)) <= 1e-12 * max(1.0, m.eta)
             delta = min(1e-3, 0.5 * ns)
@@ -304,13 +303,13 @@ class TestProperties:
             assert ns <= gamma_star(m) + 1e-15
 
     def test_constraint_a_equivalence(self):
-        # minimal_root is absent exactly when phi(gamma_star) > gamma_star,
+        # nu_star is absent exactly when phi(gamma_star) > gamma_star,
         # cross-checked against a dense scan of the raw closed form of g.
         rng = np.random.default_rng(10)
         for _ in range(60):
             m = random_hoelder_model(rng)
             gam = gamma_star(m)
-            ns = minimal_root(m)
+            ns = analyze(m).nu_star
             assert (ns is None) == (phi(m, gam) > gam)
             om = m.omega
             v = np.linspace(0.0, m.R, 10001)
@@ -322,7 +321,7 @@ class TestProperties:
         for _ in range(40):
             m = random_hoelder_model(rng, certifiable=True)
             tol = 1e-10
-            ns = minimal_root(m)
+            ns = analyze(m).nu_star
             seq = truncated_sequence(m, tol=tol, max_iter=100000)
             assert all(b >= a for a, b in zip(seq, seq[1:]))
             assert all(v <= ns + tol for v in seq)
@@ -343,7 +342,7 @@ class TestProperties:
                     R = 1.25 * nss
                     mh = MajorantModel(eta=eta, R=R, omega=om)
                     mt = MajorantModel(eta=eta, R=R, omega=tabulate(om, R, 4001))
-                    assert minimal_root(mt) == pytest.approx(minimal_root(mh), abs=1e-4)
+                    assert analyze(mt).nu_star == pytest.approx(analyze(mh).nu_star, abs=1e-4)
                     assert gamma_star(mt) == pytest.approx(gamma_star(mh), abs=1e-4)
                     assert analyze(mt).lambda_star == pytest.approx(
                         analyze(mh).lambda_star, abs=1e-4)
@@ -391,7 +390,7 @@ def _scanned_roots(fun, grid):
 
 
 class TestRootIteration:
-    """The safeguarded Newton root finder behind analyze and minimal_root."""
+    """The safeguarded Newton root finder behind analyze."""
 
     @staticmethod
     def _count_g(monkeypatch):

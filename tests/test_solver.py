@@ -9,7 +9,7 @@ import pytest
 
 from exact_measures import EXACT
 from fixedslope import norms
-from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
+from fixedslope.certificate import REASON_NU_TOO_LARGE, REASON_RADIUS_TOO_SMALL, certify
 from fixedslope.errors import (
     BadParameters,
     CertificateMissing,
@@ -260,6 +260,15 @@ class TestVerifyMajorization:
         bad = MajorantModel(eta=1.0, R=10.0, omega=HoelderOmega(1.0, 1.0, 0.0))
         with pytest.raises(CertificateMissing):
             verify_majorization(trace, bad)
+
+    def test_radius_too_small_model_raises(self):
+        # the majorant's root 2 - sqrt(2) lies past R: certify refuses with radius_too_small
+        fx = build_fixture("scalar_quadratic")
+        _, trace = fsi_solve(fx.problem)
+        short = MajorantModel(eta=0.5, R=0.3, omega=HoelderOmega(0.5, 1.0, 0.0))
+        assert certify(short).reason == REASON_RADIUS_TOO_SMALL
+        with pytest.raises(CertificateMissing):
+            verify_majorization(trace, short)
 
     def test_empty_trace_rejected(self):
         fx = build_fixture("scalar_quadratic", x0=math.sqrt(2.0))
