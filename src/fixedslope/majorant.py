@@ -151,14 +151,14 @@ class TabulatedOmega:
         return self._cum[i] + 0.5 * (w0 + self.value(v)) * (v - self._radii[i])
 
     def radius_where_one(self):
-        for i in range(1, len(self._radii)):
-            if self._values[i] >= 1.0:
-                r0, r1 = self._radii[i - 1], self._radii[i]
-                w0, w1 = self._values[i - 1], self._values[i]
-                if w0 >= 1.0:
-                    return r0
-                return r0 + (1.0 - w0) * (r1 - r0) / (w1 - w0)
-        return math.inf
+        i = bisect.bisect_left(self._values, 1.0, 1)  # the values are non-decreasing
+        if i == len(self._values):
+            return math.inf
+        r0, r1 = self._radii[i - 1], self._radii[i]
+        w0, w1 = self._values[i - 1], self._values[i]
+        if w0 >= 1.0:
+            return r0
+        return r0 + (1.0 - w0) * (r1 - r0) / (w1 - w0)
 
     def max_radius(self):
         return self._radii[-1]

@@ -13,7 +13,12 @@ matrix_norm are the one-element cases.  max_matrix_norm gives the largest
 norm of a stack above a floor, equal bit for bit to the max of
 matrix_norms: for the spectral norm it bounds every matrix from above and
 below through its Gram matrix and decomposes only those whose upper bound
-can reach the max, so most of a stack never goes to the SVD.
+can reach the max, so most of a stack never goes to the SVD.  It runs on a
+copy of its argument; the measure estimator calls the same code in place
+(_max_norm_in_place), on a workspace it reuses for every stack: |a| for
+"max" and "one" overwrites the stack, and the spectral bounds write their
+scaled copy, G and G^2 into two Gram buffers, so no reduction allocates a
+temporary the size of the stack.
 """
 
 import numpy as np
@@ -52,15 +57,18 @@ def vector_norm(x, kind="max"):
     return float(vector_norms(x, kind))
 
 
+def _abs_norms(a, kind):
+    """Induced "max" or "one" norms of a stack that already holds absolute values."""
+    return np.max(np.sum(a, axis=-1 if kind == "max" else -2), axis=-1)
+
+
 def matrix_norms(a, kind="max"):
     """Induced norms over the last two axes: a stack (S, n, n) gives (S,)."""
     _check_kind(kind)
     a = np.asarray(a, dtype=float)
-    if kind == "max":
-        return np.max(np.sum(np.abs(a), axis=-1), axis=-1)
-    if kind == "one":
-        return np.max(np.sum(np.abs(a), axis=-2), axis=-1)
-    return np.linalg.norm(a, 2, axis=(-2, -1))
+    if kind == "two":
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    return _abs_norms(np.abs(a), kind)
 
 
 def matrix_norm(a, kind="max"):
@@ -68,7 +76,7 @@ def matrix_norm(a, kind="max"):
     return float(matrix_norms(a, kind))
 
 
-def _spectral_candidates(a, floor):
+def _spectral_candidates(a, floor, grams):
     """Mask of the matrices in a stack whose spectral norm can reach max(floor, the stack max).
 
     With G = a^T a, ||a||_2^4 = lambda_max(G^2), which lies between the
@@ -77,16 +85,18 @@ def _spectral_candidates(a, floor):
     just above its largest entry, so that the bounds neither overflow nor
     underflow.  Every matrix is kept when an entry is not finite, or when
     the threshold is inf or below the normal floats, where the unscaled
-    bounds could round by more than the margin.
+    bounds could round by more than the margin.  a is only read: the scaled
+    copy and G^2 go to grams[0], G to grams[1].
     """
     keep = np.ones(len(a), dtype=bool)
-    peak = np.abs(a).max(axis=(-2, -1))
+    peak = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
     if not np.isfinite(peak).all():
         return keep
     e = np.frexp(peak)[1]
-    s = np.ldexp(a, -e[:, None, None])
-    g = np.matmul(np.swapaxes(s, -1, -2), s)
-    g2 = np.matmul(g, g)
+    grams = grams[:, :len(a)]
+    s = np.ldexp(a, -e[:, None, None], out=grams[0])
+    g = np.matmul(np.swapaxes(s, -1, -2), s, out=grams[1])
+    g2 = np.matmul(g, g, out=grams[0])
     cols = np.einsum("...ij,...ij->...j", g2, g2)
     x = g2[np.arange(len(a)), :, np.argmax(cols, axis=-1)]
     gx = np.matmul(g, x[..., None])[..., 0]
@@ -100,14 +110,29 @@ def _spectral_candidates(a, floor):
     return keep
 
 
+def _max_norm_in_place(a, kind, floor, grams):
+    """max_matrix_norm of a float stack (S, n, n) that it may overwrite.
+
+    "max" and "one" replace a by |a| and reduce that, and ignore grams.
+    "two" only reads a and writes its Gram matrices into grams, scratch of
+    shape (2, k, n, n) with k >= S, so a workspace sized once serves every
+    stack.
+    """
+    if kind == "two":
+        a = a[_spectral_candidates(a, floor, grams)]
+        return max(floor, float(matrix_norms(a, kind).max(initial=-np.inf)))
+    return max(floor, float(_abs_norms(np.abs(a, out=a), kind).max(initial=-np.inf)))
+
+
 def max_matrix_norm(a, kind="max", floor=0.0):
     """max(floor, the largest induced norm in a stack (S, n, n)).
 
     Equal, bit for bit, to max(floor, matrix_norms(a, kind).max()).  For the
     spectral norm only the matrices whose Gram upper bound can reach the
-    max go to the SVD, as one stacked matrix_norms call.
+    max go to the SVD, as one stacked matrix_norms call.  a is left as it
+    was: the work runs on a copy.
     """
-    a = np.asarray(a, dtype=float)
-    if kind == "two":
-        a = a[_spectral_candidates(a, floor)]
-    return max(floor, float(matrix_norms(a, kind).max(initial=-np.inf)))
+    _check_kind(kind)
+    a = np.array(a, dtype=float)
+    grams = np.empty((2,) + a.shape) if kind == "two" else None
+    return _max_norm_in_place(a, kind, floor, grams)

@@ -226,12 +226,13 @@ def _chandrasekhar(norm, c=0.9, n=16, R=None):
         raise BadParameters("n must be between 1 and 64 at desk scale")
     mu = (np.arange(n) + 0.5) / n
     kernel = (c / 2.0) * (1.0 / n) * mu[:, None] / (mu[:, None] + mu[None, :])
+    negated = -kernel
 
     def f(h):
         return h - 1.0 - h * np.matmul(kernel, h[..., None])[..., 0]
 
     def jac(h):
-        j = h[..., None] * -kernel
+        j = np.einsum("...i,ij->...ij", h, negated)  # one pass, no broadcast buffer
         np.einsum("...ii->...i", j)[...] += 1.0 - np.matmul(kernel, h[..., None])[..., 0]
         return j
 

@@ -11,6 +11,9 @@ uniqueness_probe runs all its starts together as rows, each with trust
 radius rho + lambda_star (rho = the start's distance from x0).  F and B
 are each applied to all live rows at once.  The estimator's sphere
 directions and the probe's starts are each drawn as one stack per call.
+The estimator forms B F'(x), its shift and its norm for each stack of
+sampled Jacobians in one workspace allocated per call, so it never writes
+into an array the problem's jacobian returned.
 
 A solve can carry a convergence certificate.  The trust region then
 shrinks to the certified ball: an iterate trying to leave it is a model
@@ -37,7 +40,7 @@ from .errors import (
     NuNotContractive,
 )
 from .majorant import MajorantModel, TabulatedOmega
-from .norms import NORM_KINDS, matrix_norm, max_matrix_norm, vector_norm, vector_norms
+from .norms import NORM_KINDS, _max_norm_in_place, matrix_norm, vector_norm, vector_norms
 
 STOP_STEP_TOL = "step_tol"
 STOP_RESIDUAL_TOL = "residual_tol"
@@ -60,8 +63,11 @@ DEFAULT_SAMPLES = 64
 
 # The estimator applies B and the norm to stacks of sampled Jacobians of at
 # most this many floats (256 KiB, eight Jacobians at n = 64), so its memory
-# does not grow with the budget.  Each stack is reduced against the running
-# max, so a matrix that cannot raise the knot is never decomposed.
+# does not grow with the budget.  Each call writes every stack's B F'(x),
+# its shift and its |.| into one workspace of that size (plus two Gram
+# buffers for the spectral norm), allocated once.  Each stack is reduced
+# against the running max, so a matrix that cannot raise the knot is never
+# decomposed.
 _STACK_FLOATS = 2**15
 
 
@@ -315,7 +321,7 @@ def verify_majorization(trace, model):
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
     try:
-        ns = majorant.analyze(model).nu_star
+        ns = majorant._left_bracket(model)[3]  # the nu_star of analyze, without its second half
     except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
@@ -399,7 +405,6 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
     n = problem.dim
     if mode == MODE_DIRECT:
         base = nu_at_start(problem)
-        shift = np.eye(n)
     else:
         base = 0.0
         shift = problem.slope @ _jacobians(problem, problem.x0[None])[0]
@@ -408,12 +413,20 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
     rng = np.random.default_rng(seed)
     knots = [(0.0, base)]
     running = base
+    work = None
     for radius in radii:
         points = _sphere_points(problem, radius, samples_per_radius, rng)
+        if work is None:  # every radius draws the same number of points
+            work = np.empty((min(len(points), chunk), n, n))
+            grams = np.empty((2,) + work.shape) if problem.norm == "two" else None
         for lo in range(0, len(points), chunk):
-            stack = np.matmul(problem.slope, _jacobians(problem, points[lo:lo + chunk]))
-            stack -= shift
-            running = max_matrix_norm(stack, problem.norm, running)
+            x = points[lo:lo + chunk]
+            stack = np.matmul(problem.slope, _jacobians(problem, x), out=work[:len(x)])
+            if mode == MODE_DIRECT:
+                np.einsum("...ii->...i", stack)[...] -= 1.0
+            else:
+                stack -= shift
+            running = _max_norm_in_place(stack, problem.norm, running, grams)
         knots.append((radius, running))
     return TabulatedOmega(tuple(knots))
 

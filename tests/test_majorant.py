@@ -176,6 +176,23 @@ class TestGammaStar:
         # interpolant hits 1 at 1.5
         assert gamma_star(m) == pytest.approx(1.5, abs=1e-15)
 
+    def test_radius_where_one_equals_a_knot_scan(self):
+        # measures that stay below 1, start at or above it, cross it inside
+        # a segment, or reach it exactly at a knot or along a plateau
+        def scan(knots):
+            for (r0, w0), (r1, w1) in zip(knots, knots[1:]):
+                if w1 >= 1.0:
+                    return r0 if w0 >= 1.0 else r0 + (1.0 - w0) * (r1 - r0) / (w1 - w0)
+            return math.inf
+
+        rng = np.random.default_rng(19)
+        for i in range(300):
+            size = int(rng.integers(2, 40))
+            values = 0.1 * (i % 12) + np.cumsum(rng.choice([0.0, 0.125, 0.25], size=size))
+            radii = np.concatenate([[0.0], np.cumsum(rng.random(size - 1) + 0.01)])
+            om = TabulatedOmega(tuple(zip(radii, values)))
+            assert om.radius_where_one() == scan(om.knots)
+
     def test_nu_not_contractive(self):
         om = TabulatedOmega(((0.0, 1.0), (1.0, 1.5)))
         m = MajorantModel(eta=0.1, R=1.0, omega=om)

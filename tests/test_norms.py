@@ -94,3 +94,14 @@ def test_max_matrix_norm_small_stacks(kind):
     scalars = np.array([[[-2.0]], [[0.5]], [[0.0]]])
     assert max_matrix_norm(scalars, kind) == 2.0
     assert max_matrix_norm(scalars, kind, 2.5) == 2.5
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_matrix_norm_leaves_its_argument_unchanged(kind):
+    rng = np.random.default_rng(43)
+    for a in fuzzed_stacks(rng, 60):
+        before = a.tobytes()
+        max_matrix_norm(a, kind, 0.5)
+        assert a.tobytes() == before
+    a.setflags(write=False)  # and a read-only stack is accepted
+    assert max_matrix_norm(a, kind) == float(matrix_norms(a, kind).max())

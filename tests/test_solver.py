@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from fixedslope.errors import (
     EvaluationFailed,
     JacobianMissing,
 )
-from fixedslope.majorant import HoelderOmega, MajorantModel, majorizing_terms
-from fixedslope.norms import matrix_norm, matrix_norms, vector_norm, vector_norms
+from fixedslope.majorant import HoelderOmega, MajorantModel, analyze, majorizing_terms
+from fixedslope.norms import matrix_norm, matrix_norms, max_matrix_norm, vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
     _STACK_FLOATS,
@@ -210,6 +211,15 @@ class TestVerifyMajorization:
             _, trace = fsi_solve(fx.problem, cert=cert)
             report = verify_majorization(trace, model)
             assert report.passed, f"{name}: worst slack {report.worst_slack}"
+
+    def test_error_bounds_start_at_the_nu_star_of_analyze(self):
+        # v_0 = 0, so the first a-priori bound is nu_star itself
+        for name in ("scalar_quadratic", "scalar_holder", "poly2d"):
+            fx = build_fixture(name)
+            model = analytic_model(fx)
+            _, trace = fsi_solve(fx.problem, cert=certify(model))
+            report = verify_majorization(trace, model)
+            assert report.error_bounds[0] == analyze(model).nu_star
 
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     def test_tail_slacks_match_per_iterate_loop(self, norm):
@@ -421,6 +431,85 @@ class TestEstimateOmega:
             points = _sphere_points(problem, radius, samples, new)
             assert points.shape == expected.shape
             assert points.tobytes() == expected.tobytes()
+
+
+def fresh_array_omega(problem, mode, radii, samples, seed):
+    """Knots of estimate_omega from fresh arrays per stack and the public max_matrix_norm."""
+    eye = np.eye(problem.dim)
+    bj0 = problem.slope @ problem.jacobian(problem.x0[None])[0]
+    shift = eye if mode == "direct" else bj0
+    running = matrix_norm(bj0 - eye, problem.norm) if mode == "direct" else 0.0
+    chunk = max(1, _STACK_FLOATS // problem.dim**2)
+    rng = np.random.default_rng(seed)
+    knots = [(0.0, running)]
+    for r in radii:
+        points = _sphere_points(problem, r, samples, rng)
+        for lo in range(0, len(points), chunk):
+            stack = np.matmul(problem.slope, problem.jacobian(points[lo:lo + chunk])) - shift
+            running = max_matrix_norm(stack, problem.norm, running)
+        knots.append((r, running))
+    return tuple(knots)
+
+
+class TestEstimatorWorkspace:
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("name, params", [
+        ("chandrasekhar", {"n": 57}),  # 10 Jacobians a stack: a partial last stack
+        ("chandrasekhar", {"n": 15}),  # every radius in one stack
+        ("poly2d", {}),
+    ])
+    def test_knots_equal_fresh_arrays_per_stack(self, name, params, norm, mode):
+        problem = build_fixture(name, norm=norm, **params).problem
+        radii = default_radii(problem.R, 8)
+        om = estimate_omega(problem, mode, radii=radii, samples_per_radius=16, seed=3)
+        assert om.knots == fresh_array_omega(problem, mode, radii, 16, 3)
+
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_jacobian_arrays_are_never_written(self, norm, mode):
+        # every call returns a view of one cached array, as a caching
+        # evaluator might; the estimator may only read it
+        base = build_fixture("chandrasekhar", n=15, norm=norm).problem
+        rng = np.random.default_rng(2)
+        cached = base.jacobian(base.x0 + 0.1 * rng.standard_normal((64, base.dim)))
+        before = cached.tobytes()
+        problem = replace(base, jacobian=lambda x: cached[:len(x)])
+        om = estimate_omega(problem, mode, radii=[1.0, 2.0], samples_per_radius=16, seed=0)
+        assert cached.tobytes() == before
+        assert all(math.isfinite(w) for _, w in om.knots)
+
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_read_only_jacobian(self, norm, mode):
+        # linear's Jacobian is a read-only np.broadcast_to view: a write would raise
+        problem = build_fixture("linear", norm=norm).problem
+        assert not problem.jacobian(np.zeros((3, 2))).flags.writeable
+        om = estimate_omega(problem, mode, radii=[1.0, 5.0], samples_per_radius=8)
+        assert all(w <= 1e-14 for _, w in om.knots)
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_memory_does_not_grow_with_the_budget(self, norm):
+        # 16 times the samples may add only the larger point stacks, not
+        # larger Jacobian stacks or norm scratch
+        problem = build_fixture("chandrasekhar", n=57, norm=norm).problem
+        radii = default_radii(problem.R, 4)
+
+        def peak(samples):
+            estimate_omega(problem, "centered", radii=radii, samples_per_radius=samples, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_omega(problem, "centered", radii=radii, samples_per_radius=samples,
+                               seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rng = np.random.default_rng(0)
+        extra = (len(_sphere_points(problem, 1.0, 256, rng))
+                 - len(_sphere_points(problem, 1.0, 16, rng))) * problem.x0.nbytes
+        assert 0 < extra
+        assert peak(256) - peak(16) <= 3 * extra
 
 
 class TestEstimateMajorant:
