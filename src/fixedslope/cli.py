@@ -6,6 +6,12 @@ measures are CSV.  Floats are serialized with their shortest round-trip
 decimal representation, so re-reading a document reproduces the values
 bit for bit.
 
+Every document is rewritten in place: the path is opened without
+truncation, written from the start, and a longer old file is cut to the
+new length, so the file keeps its inode (a symbolic link is followed and
+stays a link; mode and hard links stay).  A device or pipe such as
+/dev/null is written and never cut.  Nothing is fsync'ed.
+
 Exit codes: 0 success, 1 certification refused by certify or a certified
 solve that fails its majorization check (the documents are still
 written), 2 invalid input, 3 runtime evaluation failure.
@@ -20,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -60,15 +67,32 @@ def _fmt(x):
     return "unbounded" if math.isinf(x) else x
 
 
+def _write_text(text, path):
+    """Write text over path in place (see the module docstring).
+
+    Without O_TRUNC an overwrite does not look like a file replacement to
+    ext4's auto_da_alloc heuristic, which starts writeback of a file
+    truncated to zero when it is closed.  Only a longer old file is cut, so
+    a device or pipe (size 0), where ftruncate fails, never is.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_json(doc, path):
-    text = json.dumps(doc, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_text(json.dumps(doc, indent=2) + "\n", path)
 
 
 def _write_lines(lines, path):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", path)
 
 
 # Document keys that differ from the field names of the result dataclasses.
@@ -222,6 +246,7 @@ def _cmd_solve(args):
         "final_residual_norm": _fmt(trace.residual_norms[-1]),
         "final_step_norm": _fmt(trace.step_norms[-1]) if trace.step_norms else None,
         "solution": [_fmt(v) for v in solution],
+        "norm": fixture.problem.norm,
         "certificate": cert_note,
         "nu_star": _fmt(cert.nu_star) if cert else None,
         "trace_path": args.trace,

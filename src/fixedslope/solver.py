@@ -67,7 +67,8 @@ DEFAULT_SAMPLES = 64
 # its shift and its |.| into one workspace of that size (plus two Gram
 # buffers for the spectral norm), allocated once.  Each stack is reduced
 # against the running max, so a matrix that cannot raise the knot is never
-# decomposed.
+# decomposed.  The uniqueness probe takes its pairwise differences in blocks
+# of the same size.
 _STACK_FLOATS = 2**15
 
 
@@ -536,11 +537,16 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
         else:
             limits.append(ends[i])
 
+    # Each block of rows against every row from the block's first on, so a
+    # block holds at most _STACK_FLOATS floats (one row at least).  ||a - b||
+    # == ||b - a|| and the diagonal is 0, so the max equals that of the pair
+    # loop bit for bit.
     max_dist = 0.0
     stacked = np.array(limits)
-    for i in range(len(limits) - 1):
-        rest = vector_norms(stacked[i + 1:] - stacked[i], problem.norm)
-        max_dist = max(max_dist, float(np.max(rest)))
+    block = max(1, _STACK_FLOATS // max(1, stacked.size))
+    for lo in range(0, len(limits) - 1, block):
+        dists = vector_norms(stacked[lo:lo + block, None] - stacked[None, lo:], problem.norm)
+        max_dist = max(max_dist, float(dists.max()))
     return UniquenessReport(
         passed=not failures and max_dist <= tol,
         max_pairwise_distance=max_dist,

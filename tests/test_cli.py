@@ -226,6 +226,17 @@ class TestSolve:
         assert code == 2
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("argv, norm", [
+        (["poly2d", "--norm", "one"], "one"),
+        (["spec.json"], "two"),
+        (["spec.json", "--norm", "one"], "one"),
+    ], ids=["flag", "spec", "flag-over-spec"])
+    def test_report_states_its_norm(self, tmp_path, monkeypatch, argv, norm):
+        spec = {"fixture": "linear", "norm": "two", "params": {"x0": [0.0, 0.0]}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run(tmp_path, monkeypatch, ["solve", *argv]) == 0
+        assert json.loads((tmp_path / "solve_report.json").read_text())["norm"] == norm
+
     def test_left_ball_fails_majorization(self, tmp_path, monkeypatch):
         # the sampled two-norm measure certifies too small a ball (n=64: nu_star
         # 3.95, solution at 4.55; n=16: 2.10 against 2.27), so the run leaves it
@@ -484,6 +495,61 @@ class TestRepeatedCalls:
         assert help_line in wide and help_line not in narrow
         assert len(narrow.splitlines()) > len(wide.splitlines())
         assert narrow_again == narrow
+
+
+class TestWriters:
+    """Documents are rewritten in place: same bytes as a fresh write, same inode."""
+
+    def test_shorter_document_over_a_longer_one_equals_a_fresh_write(self, tmp_path,
+                                                                      monkeypatch):
+        longer = ["solve", "poly2d", "--measure", "direct", "--radii", "4", "--samples", "8"]
+        shorter = ["solve", "scalar_quadratic", "--no-certificate", "--max-iter", "3"]
+        names = ["trace.csv", "solve_report.json"]
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        fresh.mkdir()
+        over.mkdir()
+        assert run(fresh, monkeypatch, shorter) == 0
+        assert run(over, monkeypatch, longer) == 0
+        for name in names:
+            assert (over / name).stat().st_size > (fresh / name).stat().st_size
+        assert run(over, monkeypatch, shorter) == 0
+        assert [(over / n).read_bytes() for n in names] == [(fresh / n).read_bytes()
+                                                            for n in names]
+
+    def test_character_device(self, tmp_path, monkeypatch, capsys):
+        argv = ["certify", "scalar_quadratic", "--out", os.devnull]
+        assert run(tmp_path, monkeypatch, argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_pipe(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["certify", "scalar_quadratic", "--out", "/dev/stdout"]
+        done = subprocess.run([sys.executable, "-m", "fixedslope.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        doc = json.JSONDecoder().raw_decode(done.stdout)[0]  # the summary line follows
+        assert doc["status"] == "certified"
+
+    def test_symlink_is_followed_and_kept(self, tmp_path, monkeypatch):
+        assert run(tmp_path, monkeypatch, ["certify", "scalar_quadratic"]) == 0
+        expected = (tmp_path / "certificate.json").read_bytes()
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(expected + b" " * 4096)
+        target.chmod(0o600)
+        link.symlink_to(target.name)
+        inode = target.stat().st_ino
+        argv = ["certify", "scalar_quadratic", "--out", link.name]
+        assert run(tmp_path, monkeypatch, argv) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+        assert (target.stat().st_ino, target.stat().st_mode & 0o777) == (inode, 0o600)
+
+    def test_directory_exit_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "out").mkdir()
+        argv = ["certify", "scalar_quadratic", "--out", "out"]
+        assert run(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
 
 class TestProblemSpecFile:

@@ -569,15 +569,26 @@ class TestUniquenessProbe:
         for lim in report.limits:
             assert abs(lim[0] - SQRT2) <= 1e-8
 
-    @pytest.mark.parametrize("norm", ["max", "one", "two"])
-    def test_max_pairwise_distance_matches_pair_loop(self, norm):
+    @pytest.mark.parametrize("fixture, norm", [
+        ("poly2d", "max"), ("poly2d", "one"), ("poly2d", "two"), ("chandrasekhar", "one"),
+    ], ids=["max", "one", "two", "blocks"])
+    def test_max_pairwise_distance_matches_pair_loop(self, fixture, norm):
         # loose stopping keeps the limits apart, so the distances are not all 0
-        fx = build_fixture("poly2d", norm=norm)
-        cert = certify(analytic_model(fx))
-        stop = StoppingRule(tol_step=1e-4, tol_residual=1e-4)
-        report = uniqueness_probe(fx.problem, cert, num_starts=30, seed=2, tol=1.0,
+        if fixture == "chandrasekhar":
+            # 60 limits of n = 40 go in blocks of 13 rows, the last one partial
+            problem = build_fixture(fixture, n=40, norm=norm).problem
+            cert = certify(estimate_majorant(problem, seed=1))
+            num_starts, stop = 60, StoppingRule(1e-3, 1e-3)
+        else:
+            fx = build_fixture(fixture, norm=norm)
+            problem, cert = fx.problem, certify(analytic_model(fx))
+            num_starts, stop = 30, StoppingRule(tol_step=1e-4, tol_residual=1e-4)
+        report = uniqueness_probe(problem, cert, num_starts=num_starts, seed=2, tol=1.0,
                                   stop=stop)
         limits = report.limits
+        assert len(limits) == num_starts
+        if num_starts == 60:
+            assert _STACK_FLOATS // (num_starts * problem.dim) == 13
         expected = max(vector_norm(a - b, norm)
                        for i, a in enumerate(limits) for b in limits[i + 1:])
         assert expected > 0.0
