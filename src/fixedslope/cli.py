@@ -294,21 +294,33 @@ def _format_compare_table(rep):
     return "\n".join(lines)
 
 
+def _pop_number(params, key, *default):
+    """params.pop(key, *default) as a float; text, a list or a too large integer name the key."""
+    value = params.pop(key, *default)
+    if value is None or isinstance(value, float):
+        return value
+    if isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise BadParameters(f"compare parameter {key!r} must be a number, got {value!r}")
+
+
 def _cmd_compare(args):
     params = _parse_params(args.params)
     try:
         p = HoelderParams(
-            l0=float(params.pop("l0")),
-            alpha=float(params.pop("alpha", 1.0)),
-            nu=float(params.pop("nu", 0.0)),
-            eta=float(params.pop("eta")),
+            l0=_pop_number(params, "l0"),
+            alpha=_pop_number(params, "alpha", 1.0),
+            nu=_pop_number(params, "nu", 0.0),
+            eta=_pop_number(params, "eta"),
         )
-        R = float(params.pop("R", 10.0))
-        delta = params.pop("delta", None)
-        delta = None if delta is None else float(delta)
+        R = _pop_number(params, "R", 10.0)
+        delta = _pop_number(params, "delta", None)
     except KeyError as exc:
         raise BadParameters(f"compare needs l0=... eta=... (missing {exc})") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise BadParameters(str(exc)) from exc
     if params:
         raise BadParameters(f"unknown compare parameters: {sorted(params)}")

@@ -62,9 +62,7 @@ def check_holder_condition(p):
     return p.l0 * p.eta ** p.alpha <= _holder_rhs(p.alpha, p.nu)
 
 
-def holder_eta_max(l0, alpha, nu):
-    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
-    HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
+def _eta_max(l0, alpha, nu):
     if l0 == 0.0:
         return math.inf
     try:
@@ -73,10 +71,26 @@ def holder_eta_max(l0, alpha, nu):
         return math.inf
 
 
+def holder_eta_max(l0, alpha, nu):
+    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
+    HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
+    return _eta_max(l0, alpha, nu)
+
+
 def _rival_params(p, delta=None):
-    """Rewrite f as the majorant g of a measure with l0 scaled by (1+alpha)."""
+    """Rewrite f as the majorant g of a measure with l0 scaled by (1+alpha).
+
+    Raises ValueError naming delta, or l0 when the scaled l0 overflows.
+    """
     d = p.nu if delta is None else delta
-    return HoelderParams(p.l0 * (1.0 + p.alpha), p.alpha, d, p.eta)
+    if not 0.0 <= d < 1.0:
+        raise ValueError(f"delta must be in [0, 1), got {d}")
+    l0 = p.l0 * (1.0 + p.alpha)
+    if l0 == math.inf:
+        raise ValueError(
+            f"l0 = {p.l0} is too large: the Ahues/Argyros majorant's "
+            f"l0 * (1 + alpha) overflows")
+    return HoelderParams(l0, p.alpha, d, p.eta)
 
 
 def _side(params, R):
@@ -120,13 +134,13 @@ def compare_report(p, R, *, delta=None):
     do not exist are None, except that a rival root beyond R (rival
     condition holds) and a maximal root beyond R read as R; the containment
     check runs only when all four roots are strictly inside R.
-    Raises ValueError for a bad R, even when no condition holds.
+    Raises ValueError for a bad R or delta, even when no condition holds.
     """
     rival = _rival_params(p, delta)
     new_holds, roots = _side(p, R)
     rival_holds, rival_roots = _side(rival, R)
-    new_emax = holder_eta_max(p.l0, p.alpha, p.nu)
-    rival_emax = holder_eta_max(rival.l0, rival.alpha, rival.nu)
+    new_emax = _eta_max(p.l0, p.alpha, p.nu)
+    rival_emax = _eta_max(rival.l0, rival.alpha, rival.nu)
     # 2 l0 eta <= 1 is the majorant condition itself at alpha = 1, nu = 0
     kant = new_holds if p.alpha == 1.0 and p.nu == 0.0 else None
 

@@ -19,7 +19,9 @@ signs are known:
 
 Both roots come from one safeguarded Newton iteration started where g > 0
 (at 0 and at R); each is the float beside the root where the computed g
-is <= 0.
+is <= 0.  Each step evaluates the measure once: value_and_integral gives
+omega and its integral at one radius, so g and its slope omega - 1 come
+from the same knot search or the same power v**alpha.
 
 A minimal root exists iff g(gamma_star) <= 0; when that minimum sits on
 zero the two roots merge (double root) and the bracket degenerates, so
@@ -71,17 +73,21 @@ class HoelderOmega:
         if not (0.0 <= self.nu < 1.0):
             raise ValueError(f"nu must be in [0, 1), got {self.nu}")
 
-    def value(self, v):
-        return self.nu + self.l0 * v ** self.alpha
-
-    def integral(self, v):
-        """Exact integral of omega over [0, v].
+    def value_and_integral(self, v):
+        """(omega(v), exact integral of omega over [0, v]) from one power v**alpha.
 
         The factor v**alpha * v keeps the scale of omega(v) * v near both
         ends of the float range, where v**(1 + alpha) alone overflows or
         underflows.
         """
-        return self.nu * v + self.l0 * v ** self.alpha * v / (1.0 + self.alpha)
+        top = self.l0 * v ** self.alpha
+        return self.nu + top, self.nu * v + top * v / (1.0 + self.alpha)
+
+    def value(self, v):
+        return self.value_and_integral(v)[0]
+
+    def integral(self, v):
+        return self.value_and_integral(v)[1]
 
     def radius_where_one(self):
         """Smallest v with omega(v) = 1; inf when omega stays below 1 on all floats."""
@@ -129,6 +135,7 @@ class TabulatedOmega:
         object.__setattr__(self, "_radii", radii)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_last", len(knots) - 2)  # index of the last segment
 
     def _segment(self, v):
         if v < 0.0 or v > self._radii[-1]:
@@ -136,19 +143,25 @@ class TabulatedOmega:
                 f"v={v} outside tabulated domain [0, {self._radii[-1]}]"
             )
         i = bisect.bisect_right(self._radii, v) - 1
-        return min(i, len(self._radii) - 2)
+        return i if i < self._last else self._last
 
-    def value(self, v):
+    def value_and_integral(self, v):
+        """(omega(v), exact integral of the interpolant over [0, v]) from one knot search.
+
+        The integral is piecewise quadratic: the knots' trapezoids up to the
+        segment of v, plus the trapezoid from its left knot to v.
+        """
         i = self._segment(v)
         r0, r1 = self._radii[i], self._radii[i + 1]
         w0, w1 = self._values[i], self._values[i + 1]
-        return w0 + (w1 - w0) * (v - r0) / (r1 - r0)
+        w = w0 + (w1 - w0) * (v - r0) / (r1 - r0)
+        return w, self._cum[i] + 0.5 * (w0 + w) * (v - r0)
+
+    def value(self, v):
+        return self.value_and_integral(v)[0]
 
     def integral(self, v):
-        """Exact integral of the interpolant over [0, v] (piecewise quadratic)."""
-        i = self._segment(v)
-        w0 = self._values[i]
-        return self._cum[i] + 0.5 * (w0 + self.value(v)) * (v - self._radii[i])
+        return self.value_and_integral(v)[1]
 
     def radius_where_one(self):
         i = bisect.bisect_left(self._values, 1.0, 1)  # the values are non-decreasing
@@ -188,20 +201,24 @@ class MajorantModel:
             )
 
 
-def _check_range(model, v):
-    if v < 0.0 or v > model.R:
-        raise RadiusOutOfRange(f"v={v} outside [0, {model.R}]")
-
-
 def phi(model, v):
     """Majorant phi(v) = eta + integral_0^v omega."""
-    _check_range(model, v)
+    if v < 0.0 or v > model.R:
+        raise RadiusOutOfRange(f"v={v} outside [0, {model.R}]")
     return model.eta + model.omega.integral(v)
 
 
 def g(model, v):
     """g(v) = phi(v) - v; g(0) = eta > 0, convex."""
     return phi(model, v) - v
+
+
+def _g_slope(model, v):
+    """(g(v), omega(v) - 1): g and its slope from one evaluation of the measure."""
+    if v < 0.0 or v > model.R:
+        raise RadiusOutOfRange(f"v={v} outside [0, {model.R}]")
+    w, integral = model.omega.value_and_integral(v)
+    return model.eta + integral - v, w - 1.0
 
 
 def nu_of(model):
@@ -218,43 +235,49 @@ def gamma_star(model):
     return min(model.R, model.omega.radius_where_one())
 
 
-def _root(model, pos, g_pos, neg):
+def _root(model, pos, g_pos, slope_pos, neg):
     """The float at the g <= 0 end of the sign change of g between pos and neg.
 
-    g(pos) = g_pos > 0 >= g(neg).  g is convex with slope omega - 1, so
-    Newton steps from pos approach the root monotonically until rounding
-    stops them; a step that leaves the bracket, has a wrong-signed slope or
-    exceeds half the step before last is a bisection instead (rtsafe).  The
-    bracket is then widened from there in doubling steps and bisected.
+    g(pos) = g_pos > 0 >= g(neg), and slope_pos = omega(pos) - 1 comes from
+    the same evaluation as g_pos (rtsafe's funcd): each step evaluates the
+    measure once, for g and its slope together.  g is convex with slope
+    omega - 1, so Newton steps from pos approach the root monotonically
+    until rounding stops them; a step that leaves the bracket, has a
+    wrong-signed slope or exceeds half the step before last is a bisection
+    instead (rtsafe).  The bracket is then widened from there in doubling
+    steps and bisected.
     """
-    moves = [math.inf, math.inf]  # lengths of the last two steps
+    last = before = math.inf  # lengths of the last step and of the one before
     for _ in range(_ROOT_STEPS):
-        lo, hi = min(pos, neg), max(pos, neg)
-        slope = model.omega.value(pos) - 1.0
-        x = pos - g_pos / slope if slope * (neg - pos) < 0.0 else math.nan
+        lo, hi = (pos, neg) if pos < neg else (neg, pos)
+        x = pos - g_pos / slope_pos if slope_pos * (neg - pos) < 0.0 else math.nan
         if x == pos:  # the step rounds away: the root is within rounding of pos
             break
-        newton = lo < x < hi and abs(x - pos) <= 0.5 * moves[0]
+        newton = lo < x < hi and abs(x - pos) <= 0.5 * before
         x = x if newton else 0.5 * (lo + hi)
         if not lo < x < hi:
             return neg
-        moves, g_x = [moves[1], abs(x - pos)], g(model, x)
-        pos, g_pos, neg = (x, g_x, neg) if g_x > 0.0 else (pos, g_pos, x)
-        if newton and neg == x:  # only rounding carries Newton across the root
-            break
+        before, last = last, abs(x - pos)
+        g_x, slope_x = _g_slope(model, x)
+        if g_x > 0.0:
+            pos, g_pos, slope_pos = x, g_x, slope_x
+        else:
+            neg = x
+            if newton:  # only rounding carries Newton across the root
+                break
     else:
         return neg
     # rounding blurs the sign of g over about an ulp of its largest term,
     # max(eta, x) near a root, over its slope: widening starts there
-    blur = max(math.ulp(x), math.ulp(max(model.eta, x)) / abs(slope))
+    blur = max(math.ulp(x), math.ulp(max(model.eta, x)) / abs(slope_pos))
     step = math.copysign(blur, (neg if x == pos else pos) - x)
     for _ in range(_ROOT_STEPS):
-        lo, hi = min(pos, neg), max(pos, neg)
+        lo, hi = (pos, neg) if pos < neg else (neg, pos)
         widen = lo < x + step < hi
         y = x + step if widen else 0.5 * (lo + hi)
         if not lo < y < hi:
             break
-        pos, neg = (y, neg) if g(model, y) > 0.0 else (pos, y)
+        pos, neg = (y, neg) if _g_slope(model, y)[0] > 0.0 else (pos, y)
         if widen:  # go on from y while it replaced x as an end of the bracket
             x, step = (x, math.nan) if x in (pos, neg) else (y, 2.0 * step)
     return neg
@@ -288,7 +311,7 @@ def _left_bracket(model):
     elif g_gam >= -stol:
         ns = gam
     else:
-        ns = _root(model, 0.0, model.eta, gam)
+        ns = _root(model, 0.0, model.eta, nu_of(model) - 1.0, gam)
     return gam, stol, g_gam, ns
 
 
@@ -330,13 +353,13 @@ def analyze(model):
     if abs(g_gam) <= stol:
         nss = ns  # double root
     else:
-        g_r = g(model, model.R)
+        g_r, slope_r = _g_slope(model, model.R)
         if g_r < -stol:
             nss = None
         elif g_r <= stol:
             nss = model.R
         else:
-            nss = _root(model, model.R, g_r, gam)
+            nss = _root(model, model.R, g_r, slope_r, gam)
     band = max(10.0 * stol, _MERGE_BAND_REL * model.eta)
     if g_gam >= -band:
         lam, case = ns, "B1"

@@ -395,6 +395,21 @@ def test_non_finite_fixture_parameter_exit_2(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("params, message", [
+    (["l0=x", "eta=1"], "compare parameter 'l0' must be a number, got 'x'"),
+    (["l0=1", "eta=1,2"], "compare parameter 'eta' must be a number, got (1, 2)"),
+    (["l0=1", "eta=0.1", "delta=1"], "delta must be in [0, 1), got 1.0"),
+    (["l0=1e308", "eta=1"], "l0 = 1e+308 is too large"),
+    (["l0=1" + "0" * 400, "eta=1"], "compare parameter 'l0' must be a number, got 1000"),
+], ids=["text", "list", "delta", "rival_l0_overflows", "integer_past_float"])
+def test_bad_compare_parameter_named_exit_2(tmp_path, monkeypatch, capsys, params, message):
+    assert run(tmp_path, monkeypatch, ["compare"] + params) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_non_numeric_spec_file_parameter_exit_2(tmp_path, monkeypatch, capsys):
     spec = {"fixture": "linear", "params": {"b_vec": [3, "x"]}}
     (tmp_path / "prob.json").write_text(json.dumps(spec))

@@ -40,6 +40,32 @@ def tabulate(omega, R, num_knots):
     return TabulatedOmega(tuple((float(r), float(omega.value(r))) for r in radii))
 
 
+class CountingMeasure:
+    """A measure that counts the point evaluations asked of it and delegates them."""
+
+    def __init__(self, inner):
+        self.inner, self.evaluations = inner, 0
+
+    def _evaluate(self, name, v):
+        self.evaluations += 1
+        return getattr(self.inner, name)(v)
+
+    def value(self, v):
+        return self._evaluate("value", v)
+
+    def integral(self, v):
+        return self._evaluate("integral", v)
+
+    def value_and_integral(self, v):
+        return self._evaluate("value_and_integral", v)
+
+    def radius_where_one(self):
+        return self.inner.radius_where_one()
+
+    def max_radius(self):
+        return self.inner.max_radius()
+
+
 def truncated_sequence(model, tol=1e-12, max_iter=10000):
     """Majorizing terms up to the first increment <= tol, or max_iter steps."""
     seq = [0.0]
@@ -129,6 +155,52 @@ class TestOmegaMeasures:
             grid = np.linspace(0.0, v, 20001)
             ref = np.trapezoid([om.value(t) for t in grid], grid)
             assert om.integral(v) == pytest.approx(ref, abs=1e-8)
+
+
+    def test_value_and_integral_bit_for_bit(self):
+        # against value, integral and their closed forms, written out here
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            l0 = 10.0 ** rng.uniform(-300.0, 300.0)
+            alpha = 1.0 if rng.random() < 0.25 else rng.uniform(0.01, 1.0)
+            nu = rng.uniform(0.0, 0.99)
+            om = HoelderOmega(l0, alpha, nu)
+            for v in (0.0, 10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(0.0, 10.0)):
+                ref = (nu + l0 * v ** alpha, nu * v + l0 * v ** alpha * v / (1.0 + alpha))
+                assert repr(om.value_and_integral(v)) == repr(ref)
+                assert repr((om.value(v), om.integral(v))) == repr(ref)
+        for _ in range(100):
+            n = int(rng.integers(2, 200))
+            radii = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, n - 1))])
+            values = np.cumsum(rng.uniform(0.0, 0.1, n))
+            om = TabulatedOmega(tuple(zip(radii, values)))
+            radii, values = radii.tolist(), values.tolist()
+            cum = [0.0]
+            for k in range(n - 1):
+                cum.append(cum[-1] + 0.5 * (values[k] + values[k + 1]) * (radii[k + 1] - radii[k]))
+            between = [rng.uniform(radii[k], radii[k + 1]) for k in range(n - 1)]
+            for v in [0.0, radii[-1]] + radii + between:
+                i = max(k for k in range(n - 1) if radii[k] <= v)
+                r0, r1, w0, w1 = radii[i], radii[i + 1], values[i], values[i + 1]
+                w = w0 + (w1 - w0) * (v - r0) / (r1 - r0)
+                ref = (w, cum[i] + 0.5 * (w0 + w) * (v - r0))
+                assert repr(om.value_and_integral(v)) == repr(ref)
+                assert repr((om.value(v), om.integral(v))) == repr(ref)
+
+    def test_one_knot_search_per_evaluation(self, monkeypatch):
+        searches = []
+        segment = TabulatedOmega._segment
+        monkeypatch.setattr(TabulatedOmega, "_segment",
+                            lambda om, v: searches.append(v) or segment(om, v))
+        hoelder = HoelderOmega(0.5, 0.7, 0.1)
+        # two roots, the maximal one past R, tangency-free refusal, a coarse table
+        for eta, R, knots in [(0.2, 4.0, 50), (0.3, 20.0, 2000), (2.0, 4.0, 50), (0.5, 2.0, 7)]:
+            measure = CountingMeasure(tabulate(hoelder, R, knots))
+            searches.clear()
+            roots = analyze(MajorantModel(eta=eta, R=R, omega=measure))
+            assert len(searches) == measure.evaluations
+            if roots.nu_star is not None:
+                assert measure.evaluations > 5
 
 
 class TestPhiAndG:
