@@ -9,14 +9,16 @@ hold, packages the radii that the iteration theory guarantees a priori:
                    whether the ball is closed or open is part of the claim
     gamma_star     radius on which the majorant slope stays below 1
 
-Every radius, and the nu_star_needed of a radius_too_small refusal, comes
-from majorant.analyze; no closed form decides a certificate.
+Every radius, nu = omega(0) and the nu_star_needed of a radius_too_small
+refusal come from majorant.analyze, and so does the nu_too_large refusal
+(its NuNotContractive); no closed form decides a certificate.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
 from . import majorant
+from .errors import NuNotContractive
 from .majorant import MajorantModel
 
 PREVIEW_TERMS = 16
@@ -84,19 +86,19 @@ def certify(model):
     identity on the measure's domain; otherwise a certified bundle with the
     radii, boundary type and the first PREVIEW_TERMS majorizing terms.
     """
-    nu = majorant.nu_of(model)
-    if nu >= 1.0:
-        return not_certified(REASON_NU_TOO_LARGE, nu, model.eta, model.R, model=model)
-    roots = majorant.analyze(model)
+    try:
+        roots = majorant.analyze(model)
+    except NuNotContractive as exc:
+        return not_certified(REASON_NU_TOO_LARGE, exc.nu, model.eta, model.R, model=model)
     if roots.nu_star is None:
         needed = roots.nu_star_needed
         reason = REASON_CONSTRAINT_A if needed is None else REASON_RADIUS_TOO_SMALL
-        return not_certified(reason, nu, model.eta, model.R, roots.gamma_star, needed, model)
+        return not_certified(reason, roots.nu, model.eta, model.R, roots.gamma_star, needed, model)
     preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)
     return ConvergenceCertificate(
         status=STATUS_CERTIFIED,
         reason=None,
-        nu=nu,
+        nu=roots.nu,
         eta=model.eta,
         R=model.R,
         nu_star=roots.nu_star,

@@ -17,11 +17,13 @@ one majorant.analyze per side.  The closed form of the condition,
 
     l0 * eta**alpha <= (1 - nu)**(alpha + 1) * (alpha / (1 + alpha))**alpha
 
-with equality at eta = eta_max (tangency), gives only eta_max.  f > g for
-v > 0, so the f-based condition is strictly stronger; the admissible eta
-shrinks by the factor (1+alpha)^(1/alpha), i.e. by 2 in the Lipschitz
-case.  The same gap forces nu_star <= r_star <= r_star_star <=
-nu_star_star, which the report checks on the computed roots.
+with equality at eta = eta_max (tangency), gives only the eta_max fields
+of the report and check_holder_condition, the test for callers outside
+the package.  f > g for v > 0, so the f-based condition is strictly
+stronger; the admissible eta shrinks by the factor (1+alpha)^(1/alpha),
+i.e. by 2 in the Lipschitz case.  The same gap forces nu_star <= r_star
+<= r_star_star <= nu_star_star, which the report checks on the computed
+roots.
 """
 
 import math
@@ -63,18 +65,13 @@ def check_holder_condition(p):
 
 
 def _eta_max(l0, alpha, nu):
+    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
     if l0 == 0.0:
         return math.inf
     try:
         return (_holder_rhs(alpha, nu) / l0) ** (1.0 / alpha)
     except OverflowError:
         return math.inf
-
-
-def holder_eta_max(l0, alpha, nu):
-    """Largest certifiable first-step bound; inf when l0 = 0 (affine majorant) or on overflow."""
-    HoelderOmega(l0, alpha, nu)  # validates l0, alpha and nu
-    return _eta_max(l0, alpha, nu)
 
 
 def _rival_params(p, delta=None):

@@ -10,7 +10,11 @@ class RadiusOutOfRange(FixedSlopeError):
 
 
 class NuNotContractive(FixedSlopeError):
-    """The continuity measure is already >= 1 at radius 0."""
+    """The continuity measure is already >= 1 at radius 0; nu is that value."""
+
+    def __init__(self, nu):
+        super().__init__(f"omega(0) = {nu} >= 1: the map is not a contraction at x0")
+        self.nu = nu
 
 
 class NotCertifiedError(FixedSlopeError):

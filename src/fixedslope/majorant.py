@@ -31,9 +31,11 @@ terms g(gamma_star) is computed from, of zero counts as a double root,
 which absorbs rounding at eta = eta_max at every scale.  analyze()
 computes all three radii in one pass and is the package's one root
 finder: certify, compare_report and verify_majorization take every
-radius and every "has a root" verdict from it.  Without a root on
-[0, R], analyze also sizes nu_star_needed, the minimal root past R on
-the measure's whole domain.
+radius and every "has a root" verdict from it.  It reads nu = omega(0)
+once, makes the package's one test of nu against 1 (NuNotContractive
+when nu >= 1) and returns nu with the radii.  Without a root on [0, R],
+analyze also sizes nu_star_needed, the minimal root past R on the
+measure's whole domain.
 majorizing_terms() is the one generator of the majorizing sequence
 v_{k+1} = phi(v_k).
 """
@@ -221,20 +223,6 @@ def _g_slope(model, v):
     return model.eta + integral - v, w - 1.0
 
 
-def nu_of(model):
-    """omega(0), the contraction defect at the starting point."""
-    return float(model.omega.value(0.0))
-
-
-def gamma_star(model):
-    """Largest radius in (0, R] on which omega stays below 1."""
-    if nu_of(model) >= 1.0:
-        raise NuNotContractive(
-            f"omega(0) = {nu_of(model)} >= 1: the map is not a contraction at x0"
-        )
-    return min(model.R, model.omega.radius_where_one())
-
-
 def _root(model, pos, g_pos, slope_pos, neg):
     """The float at the g <= 0 end of the sign change of g between pos and neg.
 
@@ -285,14 +273,16 @@ def _root(model, pos, g_pos, slope_pos, neg):
 
 @dataclass(frozen=True)
 class RootAnalysis:
-    """All radii of one majorant model.
+    """All radii of one majorant model, and its nu = omega(0) < 1.
 
-    nu_star is None when g has no root on [0, R], and then so are the
-    other radii; nu_star_star is None when the maximal root lies beyond R;
-    case is "B1" (closed uniqueness ball) or "B2" (open ball).
-    nu_star_needed is set only without nu_star: the root past R, if any.
+    gamma_star is where omega reaches 1, clipped to R.  nu_star is None
+    when g has no root on [0, R], and then so are the other radii;
+    nu_star_star is None when the maximal root lies beyond R; case is "B1"
+    (closed uniqueness ball) or "B2" (open ball).  nu_star_needed is set
+    only without nu_star: the root past R, if any.
     """
 
+    nu: float
     gamma_star: float
     nu_star: float | None
     nu_star_star: float | None
@@ -301,9 +291,17 @@ class RootAnalysis:
     nu_star_needed: float | None = None
 
 
-def _left_bracket(model):
+def _nu(model):
+    """omega(0), the contraction defect at x0: one reading, one test against 1."""
+    nu = float(model.omega.value(0.0))
+    if nu >= 1.0:
+        raise NuNotContractive(nu)
+    return nu
+
+
+def _left_bracket(model, nu):
     """(gamma_star, stol, g(gamma_star), nu_star): the minimal-root half of the pass."""
-    gam = gamma_star(model)
+    gam = min(model.R, model.omega.radius_where_one())
     stol = ROOT_TOL * max(model.eta, gam)
     g_gam = g(model, gam)
     if g_gam > stol:
@@ -311,11 +309,11 @@ def _left_bracket(model):
     elif g_gam >= -stol:
         ns = gam
     else:
-        ns = _root(model, 0.0, model.eta, nu_of(model) - 1.0, gam)
+        ns = _root(model, 0.0, model.eta, nu - 1.0, gam)
     return gam, stol, g_gam, ns
 
 
-def _needed_radius(model):
+def _needed_radius(model, nu):
     """Minimal root of g past R on the measure's whole domain, or None when g has none.
 
     g is convex with its minimum where omega reaches 1, so one left bracket
@@ -328,12 +326,12 @@ def _needed_radius(model):
     if reach <= model.R:
         return None
     if reach == math.inf:
-        reach = model.eta / (1.0 - nu_of(model))
+        reach = model.eta / (1.0 - nu)
         while reach < math.inf and g(replace(model, R=reach), reach) > 0.0:
             reach *= 2.0
         if reach == math.inf:
             return None
-    return _left_bracket(replace(model, R=reach))[3]
+    return _left_bracket(replace(model, R=reach), nu)[3]
 
 
 def analyze(model):
@@ -347,9 +345,10 @@ def analyze(model):
     Without a root on [0, R], one more left bracket past R sizes
     nu_star_needed.
     """
-    gam, stol, g_gam, ns = _left_bracket(model)
+    nu = _nu(model)
+    gam, stol, g_gam, ns = _left_bracket(model, nu)
     if ns is None:
-        return RootAnalysis(gam, None, None, None, None, _needed_radius(model))
+        return RootAnalysis(nu, gam, None, None, None, None, _needed_radius(model, nu))
     if abs(g_gam) <= stol:
         nss = ns  # double root
     else:
@@ -367,7 +366,7 @@ def analyze(model):
         lam, case = model.R, "B1"
     else:
         lam, case = nss, "B2"
-    return RootAnalysis(gam, ns, nss, lam, case)
+    return RootAnalysis(nu, gam, ns, nss, lam, case)
 
 
 def majorizing_terms(model):

@@ -9,16 +9,15 @@ Three choices are supported everywhere in the package:
 All three matrix norms are exact: "max" and "one" in closed form, the
 spectral norm as the largest singular value from LAPACK's SVD.  Each norm
 is defined once, over a stack of vectors or matrices; vector_norm and
-matrix_norm are the one-element cases.  max_matrix_norm gives the largest
-norm of a stack above a floor, equal bit for bit to the max of
-matrix_norms: for the spectral norm it bounds every matrix from above and
-below through its Gram matrix and decomposes only those whose upper bound
-can reach the max, so most of a stack never goes to the SVD.  It runs on a
-copy of its argument; the measure estimator calls the same code in place
-(_max_norm_in_place), on a workspace it reuses for every stack: |a| for
-"max" and "one" overwrites the stack, and the spectral bounds write their
-scaled copy, G and G^2 into two Gram buffers, so no reduction allocates a
-temporary the size of the stack.
+matrix_norm are the one-element cases.  The measure estimator's
+_max_norm_in_place gives the largest norm of a stack above a floor, equal
+bit for bit to the max of matrix_norms: for the spectral norm it bounds
+every matrix from above and below through its Gram matrix and decomposes
+only those whose upper bound can reach the max, so most of a stack never
+goes to the SVD.  It works in place, on a workspace the estimator reuses
+for every stack: |a| for "max" and "one" overwrites the stack, and the
+spectral bounds write their scaled copy, G and G^2 into two Gram
+buffers, so no reduction allocates a temporary the size of the stack.
 """
 
 import numpy as np
@@ -111,9 +110,10 @@ def _spectral_candidates(a, floor, grams):
 
 
 def _max_norm_in_place(a, kind, floor, grams):
-    """max_matrix_norm of a float stack (S, n, n) that it may overwrite.
+    """max(floor, matrix_norms(a, kind).max()), bit for bit, of a float stack (S, n, n).
 
-    "max" and "one" replace a by |a| and reduce that, and ignore grams.
+    a may be overwritten: "max" and "one" replace a by |a| and reduce that,
+    and ignore grams.
     "two" only reads a and writes its Gram matrices into grams, scratch of
     shape (2, k, n, n) with k >= S, so a workspace sized once serves every
     stack.
@@ -122,17 +122,3 @@ def _max_norm_in_place(a, kind, floor, grams):
         a = a[_spectral_candidates(a, floor, grams)]
         return max(floor, float(matrix_norms(a, kind).max(initial=-np.inf)))
     return max(floor, float(_abs_norms(np.abs(a, out=a), kind).max(initial=-np.inf)))
-
-
-def max_matrix_norm(a, kind="max", floor=0.0):
-    """max(floor, the largest induced norm in a stack (S, n, n)).
-
-    Equal, bit for bit, to max(floor, matrix_norms(a, kind).max()).  For the
-    spectral norm only the matrices whose Gram upper bound can reach the
-    max go to the SVD, as one stacked matrix_norms call.  a is left as it
-    was: the work runs on a copy.
-    """
-    _check_kind(kind)
-    a = np.array(a, dtype=float)
-    grams = np.empty((2,) + a.shape) if kind == "two" else None
-    return _max_norm_in_place(a, kind, floor, grams)

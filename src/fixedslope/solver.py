@@ -322,7 +322,8 @@ def verify_majorization(trace, model):
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
     try:
-        ns = majorant._left_bracket(model)[3]  # the nu_star of analyze, without its second half
+        # the nu_star of analyze, without its second half
+        ns = majorant._left_bracket(model, majorant._nu(model))[3]
     except NuNotContractive as exc:
         raise CertificateMissing(str(exc)) from exc
     if ns is None:
@@ -405,10 +406,9 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
 
     n = problem.dim
     if mode == MODE_DIRECT:
-        base = nu_at_start(problem)
+        base, shift = nu_at_start(problem), np.eye(n)
     else:
-        base = 0.0
-        shift = problem.slope @ _jacobians(problem, problem.x0[None])[0]
+        base, shift = 0.0, problem.slope @ _jacobians(problem, problem.x0[None])[0]
 
     chunk = max(1, _STACK_FLOATS // n**2)
     rng = np.random.default_rng(seed)
@@ -423,10 +423,7 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
         for lo in range(0, len(points), chunk):
             x = points[lo:lo + chunk]
             stack = np.matmul(problem.slope, _jacobians(problem, x), out=work[:len(x)])
-            if mode == MODE_DIRECT:
-                np.einsum("...ii->...i", stack)[...] -= 1.0
-            else:
-                stack -= shift
+            stack -= shift
             running = _max_norm_in_place(stack, problem.norm, running, grams)
         knots.append((radius, running))
     return TabulatedOmega(tuple(knots))
@@ -469,12 +466,18 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
     estimate pointwise by the triangle inequality.
     When nu >= 1 either mode returns the constant measure nu without
     sampling: it is a true lower envelope, and certify refuses it.
+    Otherwise radii that stop short of R are refused with BadParameters
+    before any sampling, since the model's measure must cover [0, R].
     """
     eta = eta_at_start(problem)
     nu = nu_at_start(problem)
     if nu >= 1.0:
         return MajorantModel(eta=eta, R=problem.R,
                              omega=TabulatedOmega(((0.0, nu), (problem.R, nu))))
+    top = problem.R if radii is None else max(map(float, radii), default=problem.R)
+    if top < problem.R:
+        raise BadParameters(f"largest radius {top} is below R={problem.R}: "
+                            "the measure must cover [0, R]")
     omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
     if mode == MODE_CENTERED:
         omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))

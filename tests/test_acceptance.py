@@ -15,9 +15,9 @@ import numpy as np
 from fixedslope.certificate import certify
 from fixedslope.comparison import (
     HoelderParams,
+    _eta_max,
     check_holder_condition,
     compare_report,
-    holder_eta_max,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel, analyze
 from fixedslope.norms import vector_norm
@@ -85,7 +85,7 @@ def test_criterion_2_eta_max_ratio_law():
                 for l0 in [0.1, 1.0, 10.0]:
                     p = HoelderParams(l0, alpha, nu, 1.0)
                     rival_emax = compare_report(p, 10.0).ahues_eta_max
-                    ratio = holder_eta_max(l0, alpha, nu) / rival_emax
+                    ratio = _eta_max(l0, alpha, nu) / rival_emax
                     assert abs(ratio - (1.0 + alpha) ** (1.0 / alpha)) <= 1e-12
 
 
@@ -108,7 +108,7 @@ def test_criterion_3_root_oracle_agreement():
             nu = rng.uniform(0.0, 0.6)
             r_bar = rng.uniform(0.5, 6.0)
             l0 = (1.0 - nu) / r_bar ** alpha
-            emax = holder_eta_max(l0, alpha, nu)
+            emax = _eta_max(l0, alpha, nu)
             eta = emax * rng.uniform(0.1, 0.9)
             model = MajorantModel(eta=eta, R=10.0, omega=HoelderOmega(l0, alpha, nu))
             # independent oracle: raw closed form of g on the dense grid
@@ -218,7 +218,7 @@ def test_criterion_10_dominance_witness():
     with criterion(10, "for each alpha some eta passes only the new "
                        "condition and none passes only the rival one"):
         for alpha in [0.25, 0.5, 1.0]:
-            new_emax = holder_eta_max(1.0, alpha, 0.0)
+            new_emax = _eta_max(1.0, alpha, 0.0)
             witness = 0
             for eta in np.linspace(0.001, 1.2 * new_emax, 400):
                 p = HoelderParams(1.0, alpha, 0.0, float(eta))

@@ -14,7 +14,7 @@ from fixedslope.certificate import (
     REASON_RADIUS_TOO_SMALL,
     certify,
 )
-from fixedslope.comparison import HoelderParams, check_holder_condition, holder_eta_max
+from fixedslope.comparison import HoelderParams, _eta_max, check_holder_condition
 from fixedslope.majorant import HoelderOmega, MajorantModel, TabulatedOmega, g
 
 SQRT2 = math.sqrt(2.0)
@@ -157,13 +157,13 @@ class TestCertify:
 
 class TestHolderForms:
     def test_eta_max_values(self):
-        assert holder_eta_max(1.0, 1.0, 0.0) == 0.5  # 2 l0 eta <= 1
-        assert holder_eta_max(1.0, 1.0, 0.5) == pytest.approx(0.125, abs=1e-15)
-        assert holder_eta_max(0.0, 1.0, 0.0) == math.inf
+        assert _eta_max(1.0, 1.0, 0.0) == 0.5  # 2 l0 eta <= 1
+        assert _eta_max(1.0, 1.0, 0.5) == pytest.approx(0.125, abs=1e-15)
+        assert _eta_max(0.0, 1.0, 0.0) == math.inf
 
     def test_overflow_reads_as_unbounded(self):
         # (rhs / 1e-300)^(1/0.3) exceeds every float
-        assert holder_eta_max(1e-300, 0.3, 0.0) == math.inf
+        assert _eta_max(1e-300, 0.3, 0.0) == math.inf
         cert = certify(HoelderParams(1e-300, 0.3, 0.0, 1.0).model(10.0))
         assert cert.certified and cert.nu_star == 1.0
 
@@ -172,7 +172,7 @@ class TestHolderForms:
         (1.0, 0.0, 0.0), (1.0, 1.5, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.1),
     ])
     def test_one_validation_of_hoelder_data(self, l0, alpha, nu):
-        for build in (HoelderOmega, holder_eta_max, lambda *a: HoelderParams(*a, 0.5)):
+        for build in (HoelderOmega, lambda *a: HoelderParams(*a, 0.5)):
             with pytest.raises(ValueError):
                 build(l0, alpha, nu)
 
@@ -220,7 +220,7 @@ class TestProperties:
             alpha = rng.uniform(0.3, 1.0)
             nu = rng.uniform(0.0, 0.8)
             l0 = rng.uniform(0.05, 4.0)
-            emax = holder_eta_max(l0, alpha, nu)
+            emax = _eta_max(l0, alpha, nu)
             eta = emax * rng.uniform(0.05, 1.5)
             R = rng.uniform(0.2, 12.0)
             p = HoelderParams(l0, alpha, nu, eta)
@@ -236,7 +236,7 @@ class TestProperties:
             alpha = rng.uniform(0.3, 1.0)
             nu = rng.uniform(0.0, 0.8)
             l0 = rng.uniform(0.05, 4.0)
-            emax = holder_eta_max(l0, alpha, nu)
+            emax = _eta_max(l0, alpha, nu)
             # away from the tangency band: clear open-ball case
             p = HoelderParams(l0, alpha, nu, emax * rng.uniform(0.1, 0.99))
             big_r = 10.0 * holder_roots(p, R=1e9)[1]
@@ -264,7 +264,7 @@ class TestProperties:
             alpha = rng.uniform(0.3, 1.0)
             nu = rng.uniform(0.0, 0.8)
             l0 = rng.uniform(0.05, 4.0)
-            eta = holder_eta_max(l0, alpha, nu) * rng.uniform(0.05, 0.99)
+            eta = _eta_max(l0, alpha, nu) * rng.uniform(0.05, 0.99)
             cert = certify(HoelderParams(l0, alpha, nu, eta).model(rng.uniform(0.5, 12.0)))
             if not cert.certified:
                 continue
@@ -291,7 +291,7 @@ class TestRadiiAtEveryScale:
         certified = 0
         for _ in range(2000):
             alpha, l0, nu = rng.uniform(0.3, 0.99), rng.uniform(0.1, 10.0), rng.uniform(0.0, 0.6)
-            eta = holder_eta_max(l0, alpha, nu) * rng.uniform(0.1, 0.95)
+            eta = _eta_max(l0, alpha, nu) * rng.uniform(0.1, 0.95)
             p = HoelderParams(l0, alpha, nu, eta)
             m = p.model(10.0 * ((1.0 - nu) / l0) ** (1.0 / alpha))
             cert = certify(m)

@@ -13,6 +13,12 @@ import pytest
 from test_certificate import bisect_sign_change, holder_g
 
 from fixedslope import majorant
+from fixedslope.certificate import (
+    REASON_CONSTRAINT_A,
+    REASON_NU_TOO_LARGE,
+    REASON_RADIUS_TOO_SMALL,
+    certify,
+)
 from fixedslope.comparison import HoelderParams
 from fixedslope.errors import NuNotContractive, RadiusOutOfRange
 from fixedslope.majorant import (
@@ -22,7 +28,6 @@ from fixedslope.majorant import (
     TabulatedOmega,
     analyze,
     g,
-    gamma_star,
     majorizing_terms,
     phi,
 )
@@ -44,10 +49,11 @@ class CountingMeasure:
     """A measure that counts the point evaluations asked of it and delegates them."""
 
     def __init__(self, inner):
-        self.inner, self.evaluations = inner, 0
+        self.inner, self.evaluations, self.at_zero = inner, 0, 0
 
     def _evaluate(self, name, v):
         self.evaluations += 1
+        self.at_zero += v == 0.0
         return getattr(self.inner, name)(v)
 
     def value(self, v):
@@ -203,6 +209,27 @@ class TestOmegaMeasures:
                 assert measure.evaluations > 5
 
 
+    def test_certify_reads_omega_at_zero_once(self, monkeypatch):
+        # certified, refused for R, refused outright and nu_too_large, with
+        # Hoelder and tabulated measures; the preview runs on the bare measure
+        terms = majorant.majorizing_terms
+        monkeypatch.setattr(majorant, "majorizing_terms",
+                            lambda m: terms(MajorantModel(m.eta, m.R, m.omega.inner)))
+        hoelder = HoelderOmega(0.5, 0.7, 0.1)
+        cases = [(0.2, 4.0, hoelder), (0.2, 4.0, tabulate(hoelder, 4.0, 50)),
+                 (0.2, 0.1, hoelder), (0.2, 0.1, tabulate(hoelder, 4.0, 50)),
+                 (2.0, 4.0, hoelder), (2.0, 4.0, tabulate(hoelder, 4.0, 50)),
+                 (0.1, 1.0, TabulatedOmega(((0.0, 1.0), (1.0, 1.5))))]
+        reasons = set()
+        for eta, R, inner in cases:
+            measure = CountingMeasure(inner)
+            cert = certify(MajorantModel(eta=eta, R=R, omega=measure))
+            reasons.add(cert.reason)
+            assert measure.at_zero == 1, (eta, R, inner)
+        assert reasons == {None, REASON_RADIUS_TOO_SMALL, REASON_CONSTRAINT_A,
+                           REASON_NU_TOO_LARGE}
+
+
 class TestPhiAndG:
     def test_phi_examples(self):
         m = quad_model(eta=0.5, l0=0.25)
@@ -236,17 +263,17 @@ class TestPhiAndG:
 
 class TestGammaStar:
     def test_examples(self):
-        assert gamma_star(quad_model(l0=0.5, R=10.0)) == pytest.approx(2.0, abs=1e-15)
+        assert analyze(quad_model(l0=0.5, R=10.0)).gamma_star == pytest.approx(2.0, abs=1e-15)
         m = MajorantModel(eta=0.5, R=3.0, omega=HoelderOmega(0.0, 1.0, 0.2))
-        assert gamma_star(m) == 3.0  # omega constant below 1 everywhere
+        assert analyze(m).gamma_star == 3.0  # omega constant below 1 everywhere
         m2 = MajorantModel(eta=0.1, R=10.0, omega=HoelderOmega(1.0, 0.5, 0.0))
-        assert gamma_star(m2) == pytest.approx(1.0, abs=1e-15)
+        assert analyze(m2).gamma_star == pytest.approx(1.0, abs=1e-15)
 
     def test_tabulated_crossing(self):
         om = TabulatedOmega(((0.0, 0.0), (1.0, 0.5), (2.0, 1.5)))
         m = MajorantModel(eta=0.1, R=2.0, omega=om)
         # interpolant hits 1 at 1.5
-        assert gamma_star(m) == pytest.approx(1.5, abs=1e-15)
+        assert analyze(m).gamma_star == pytest.approx(1.5, abs=1e-15)
 
     def test_radius_where_one_equals_a_knot_scan(self):
         # measures that stay below 1, start at or above it, cross it inside
@@ -268,8 +295,9 @@ class TestGammaStar:
     def test_nu_not_contractive(self):
         om = TabulatedOmega(((0.0, 1.0), (1.0, 1.5)))
         m = MajorantModel(eta=0.1, R=1.0, omega=om)
-        with pytest.raises(NuNotContractive):
-            gamma_star(m)
+        with pytest.raises(NuNotContractive, match=r"^omega\(0\) = 1\.0 >= 1: ") as exc:
+            analyze(m)
+        assert exc.value.nu == 1.0
 
 
 class TestRoots:
@@ -301,17 +329,17 @@ class TestRoots:
 
     def test_analyze_one_pass(self):
         assert analyze(quad_model()) == RootAnalysis(
-            2.0, analyze(quad_model()).nu_star, pytest.approx(2.0 + SQRT2, abs=1e-10),
+            0.0, 2.0, analyze(quad_model()).nu_star, pytest.approx(2.0 + SQRT2, abs=1e-10),
             pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
-        assert analyze(quad_model(eta=1.0, l0=1.0)) == RootAnalysis(1.0, None, None, None, None)
+        assert analyze(quad_model(eta=1.0, l0=1.0)) == RootAnalysis(0.0, 1.0, None, None, None, None)
 
     def test_analyze_merge_band_keeps_both_bisected_roots(self):
         # -band <= g(gamma_star) < -stol: both roots are bisected, yet the
         # minimum is too close to zero to claim the open ball past nu_star.
         m = quad_model(eta=0.5 - 2e-10, l0=1.0)  # g(gamma_star) = -2e-10
         stol = 1e-12
-        assert -1e-9 * m.eta <= g(m, gamma_star(m)) < -stol
         roots = analyze(m)
+        assert -1e-9 * m.eta <= g(m, roots.gamma_star) < -stol
         assert roots.nu_star < roots.gamma_star < roots.nu_star_star
         assert (roots.lambda_star, roots.case) == (roots.nu_star, "B1")
 
@@ -389,7 +417,7 @@ class TestProperties:
             assert abs(g(m, ns)) <= 1e-12 * max(1.0, m.eta)
             delta = min(1e-3, 0.5 * ns)
             assert g(m, ns - delta) > 0.0
-            assert ns <= gamma_star(m) + 1e-15
+            assert ns <= analyze(m).gamma_star + 1e-15
 
     def test_constraint_a_equivalence(self):
         # nu_star is absent exactly when phi(gamma_star) > gamma_star,
@@ -397,8 +425,8 @@ class TestProperties:
         rng = np.random.default_rng(10)
         for _ in range(60):
             m = random_hoelder_model(rng)
-            gam = gamma_star(m)
-            ns = analyze(m).nu_star
+            roots = analyze(m)
+            gam, ns = roots.gamma_star, roots.nu_star
             assert (ns is None) == (phi(m, gam) > gam)
             om = m.omega
             v = np.linspace(0.0, m.R, 10001)
@@ -432,7 +460,7 @@ class TestProperties:
                     mh = MajorantModel(eta=eta, R=R, omega=om)
                     mt = MajorantModel(eta=eta, R=R, omega=tabulate(om, R, 4001))
                     assert analyze(mt).nu_star == pytest.approx(analyze(mh).nu_star, abs=1e-4)
-                    assert gamma_star(mt) == pytest.approx(gamma_star(mh), abs=1e-4)
+                    assert analyze(mt).gamma_star == pytest.approx(analyze(mh).gamma_star, abs=1e-4)
                     assert analyze(mt).lambda_star == pytest.approx(
                         analyze(mh).lambda_star, abs=1e-4)
 

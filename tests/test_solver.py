@@ -18,7 +18,7 @@ from fixedslope.errors import (
     JacobianMissing,
 )
 from fixedslope.majorant import HoelderOmega, MajorantModel, analyze, majorizing_terms
-from fixedslope.norms import matrix_norm, matrix_norms, max_matrix_norm, vector_norm, vector_norms
+from fixedslope.norms import matrix_norm, matrix_norms, vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
     _STACK_FLOATS,
@@ -434,7 +434,7 @@ class TestEstimateOmega:
 
 
 def fresh_array_omega(problem, mode, radii, samples, seed):
-    """Knots of estimate_omega from fresh arrays per stack and the public max_matrix_norm."""
+    """Knots of estimate_omega from fresh arrays per stack and every matrix's own norm."""
     eye = np.eye(problem.dim)
     bj0 = problem.slope @ problem.jacobian(problem.x0[None])[0]
     shift = eye if mode == "direct" else bj0
@@ -446,7 +446,7 @@ def fresh_array_omega(problem, mode, radii, samples, seed):
         points = _sphere_points(problem, r, samples, rng)
         for lo in range(0, len(points), chunk):
             stack = np.matmul(problem.slope, problem.jacobian(points[lo:lo + chunk])) - shift
-            running = max_matrix_norm(stack, problem.norm, running)
+            running = max(running, float(matrix_norms(stack, problem.norm).max()))
         knots.append((r, running))
     return tuple(knots)
 
@@ -534,6 +534,18 @@ class TestEstimateMajorant:
         cert = certify(estimate_majorant(counted, mode=mode))
         assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
         assert len(calls) == 1  # the start's Jacobian only: nothing is sampled
+
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    def test_radii_short_of_R_refused_before_sampling(self, mode):
+        problem = build_fixture("poly2d").problem  # R = 2
+        rows = []
+        counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
+        with pytest.raises(BadParameters, match=r"largest radius 0\.5 is below R=2\.0"):
+            estimate_majorant(counted, mode=mode, radii=[0.5], samples_per_radius=4)
+        assert rows == [1]  # the start's Jacobian only: nothing is sampled
+        # estimate_omega only measures, so it still tabulates such radii
+        om = estimate_omega(problem, mode, radii=[0.5], samples_per_radius=4)
+        assert om.max_radius() == 0.5
 
     def test_solved_start_rejected(self):
         # c = x0^2 exactly in floats, so F(x0) = 0 and eta = 0
