@@ -11,7 +11,6 @@ from .certificate import certify
 from .comparison import HoelderParams, check_holder_condition, compare_report
 from .errors import (
     BadParameters,
-    CertificateMissing,
     EvaluationFailed,
     FixedSlopeError,
     JacobianMissing,

@@ -36,17 +36,19 @@ BOUNDARY_OPEN = "open"  # case B2
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
+    """A certificate, or a refusal: the same record with its radii left unset."""
+
     status: str
     reason: str | None
     nu: float
     eta: float
     R: float
-    nu_star: float | None
-    nu_star_star: float | None  # None = maximal root lies beyond R
-    gamma_star: float | None
-    lambda_star: float | None
-    uniqueness_boundary: str | None
-    scalar_sequence_preview: tuple
+    nu_star: float | None = None
+    nu_star_star: float | None = None  # None = maximal root lies beyond R
+    gamma_star: float | None = None
+    lambda_star: float | None = None
+    uniqueness_boundary: str | None = None
+    scalar_sequence: tuple = ()
     # Smallest R that would certify; set when the radius is the only obstacle.
     nu_star_needed: float | None = None
     # The model the certificate was computed from, for checking a run against
@@ -56,25 +58,6 @@ class ConvergenceCertificate:
     @property
     def certified(self):
         return self.status == STATUS_CERTIFIED
-
-
-def not_certified(reason, nu, eta, R, gamma=None, needed=None, model=None):
-    """A refusal: the inputs and diagnostics are kept, every radius is None."""
-    return ConvergenceCertificate(
-        status=STATUS_NOT_CERTIFIED,
-        reason=reason,
-        nu=nu,
-        eta=eta,
-        R=R,
-        nu_star=None,
-        nu_star_star=None,
-        gamma_star=gamma,
-        lambda_star=None,
-        uniqueness_boundary=None,
-        scalar_sequence_preview=(),
-        nu_star_needed=needed,
-        model=model,
-    )
 
 
 def certify(model):
@@ -89,11 +72,14 @@ def certify(model):
     try:
         roots = majorant.analyze(model)
     except NuNotContractive as exc:
-        return not_certified(REASON_NU_TOO_LARGE, exc.nu, model.eta, model.R, model=model)
+        return ConvergenceCertificate(STATUS_NOT_CERTIFIED, REASON_NU_TOO_LARGE, exc.nu,
+                                      model.eta, model.R, model=model)
     if roots.nu_star is None:
         needed = roots.nu_star_needed
         reason = REASON_CONSTRAINT_A if needed is None else REASON_RADIUS_TOO_SMALL
-        return not_certified(reason, roots.nu, model.eta, model.R, roots.gamma_star, needed, model)
+        return ConvergenceCertificate(STATUS_NOT_CERTIFIED, reason, roots.nu, model.eta, model.R,
+                                      gamma_star=roots.gamma_star, nu_star_needed=needed,
+                                      model=model)
     preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)
     return ConvergenceCertificate(
         status=STATUS_CERTIFIED,
@@ -106,6 +92,6 @@ def certify(model):
         gamma_star=roots.gamma_star,
         lambda_star=roots.lambda_star,
         uniqueness_boundary=BOUNDARY_CLOSED if roots.case == "B1" else BOUNDARY_OPEN,
-        scalar_sequence_preview=tuple(preview),
+        scalar_sequence=tuple(preview),
         model=model,
     )

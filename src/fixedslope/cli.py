@@ -95,19 +95,15 @@ def _write_lines(lines, path):
     _write_text("\n".join(lines) + "\n", path)
 
 
-# Document keys that differ from the field names of the result dataclasses.
-_DOC_KEYS = {"scalar_sequence_preview": "scalar_sequence"}
-
-
 def _doc_fields(cls):
-    """(field, document key) pairs in declaration order; the model is never written."""
-    return [(f, _DOC_KEYS.get(f.name, f.name)) for f in fields(cls) if f.name != "model"]
+    """Fields in declaration order, each written under its own name; the model never is."""
+    return [f for f in fields(cls) if f.name != "model"]
 
 
 def _to_doc(kind, record):
     doc = {"schema": SCHEMA_VERSION, "kind": kind}
-    for f, key in _doc_fields(type(record)):
-        doc[key] = _fmt(getattr(record, f.name))
+    for f in _doc_fields(type(record)):
+        doc[f.name] = _fmt(getattr(record, f.name))
     return doc
 
 
@@ -120,8 +116,8 @@ def read_certificate(path):
     with open(path) as fh:
         doc = json.load(fh)
     values = {}
-    for f, key in _doc_fields(ConvergenceCertificate):
-        value = doc[key] if f.default is MISSING else doc.get(key, f.default)
+    for f in _doc_fields(ConvergenceCertificate):
+        value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
         values[f.name] = tuple(value) if isinstance(value, list) else value
     return ConvergenceCertificate(**values)
 

@@ -9,20 +9,16 @@ class RadiusOutOfRange(FixedSlopeError):
     """Evaluation requested outside [0, R] or beyond the tabulated domain."""
 
 
-class NuNotContractive(FixedSlopeError):
+class NotCertifiedError(FixedSlopeError):
+    """An operation that needs a certified certificate or model got a refused one."""
+
+
+class NuNotContractive(NotCertifiedError):
     """The continuity measure is already >= 1 at radius 0; nu is that value."""
 
     def __init__(self, nu):
         super().__init__(f"omega(0) = {nu} >= 1: the map is not a contraction at x0")
         self.nu = nu
-
-
-class NotCertifiedError(FixedSlopeError):
-    """An operation that needs a certifiable majorant model got one without a root."""
-
-
-class CertificateMissing(FixedSlopeError):
-    """Bound verification was asked for, but the model cannot back a certificate."""
 
 
 class JacobianMissing(FixedSlopeError):

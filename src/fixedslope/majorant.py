@@ -29,13 +29,13 @@ the root is read off at gamma_star directly.  ROOT_TOL is the one
 tangency tolerance: a minimum within ROOT_TOL * max(eta, gamma_star), the
 terms g(gamma_star) is computed from, of zero counts as a double root,
 which absorbs rounding at eta = eta_max at every scale.  analyze()
-computes all three radii in one pass and is the package's one root
-finder: certify, compare_report and verify_majorization take every
-radius and every "has a root" verdict from it.  It reads nu = omega(0)
-once, makes the package's one test of nu against 1 (NuNotContractive
-when nu >= 1) and returns nu with the radii.  Without a root on [0, R],
-analyze also sizes nu_star_needed, the minimal root past R on the
-measure's whole domain.
+computes all three radii in one pass: certify and compare_report take
+every radius and every "has a root" verdict from it, and
+verify_majorization runs only its minimal-root half, _left_bracket.  It
+reads nu = omega(0) once, refuses nu >= 1 with NuNotContractive and
+returns nu with the radii (solver.estimate_majorant tests nu >= 1 itself,
+before it samples).  Without a root on [0, R], analyze also sizes
+nu_star_needed, the minimal root past R on the measure's whole domain.
 majorizing_terms() is the one generator of the majorizing sequence
 v_{k+1} = phi(v_k).
 """

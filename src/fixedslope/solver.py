@@ -31,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import majorant
-from .errors import (
-    BadParameters,
-    CertificateMissing,
-    EvaluationFailed,
-    JacobianMissing,
-    NotCertifiedError,
-    NuNotContractive,
-)
+from .errors import BadParameters, EvaluationFailed, JacobianMissing, NotCertifiedError
 from .majorant import MajorantModel, TabulatedOmega
 from .norms import NORM_KINDS, _max_norm_in_place, matrix_norm, vector_norm, vector_norms
 
@@ -121,8 +114,8 @@ class StoppingRule:
     def __post_init__(self):
         if not all(0.0 < t < math.inf for t in (self.tol_step, self.tol_residual)):
             raise BadParameters("stopping tolerances must be positive")
-        if self.max_iter < 1:
-            raise BadParameters("max_iter must be >= 1")
+        if not (1 <= self.max_iter < math.inf and self.max_iter == math.floor(self.max_iter)):
+            raise BadParameters(f"max_iter must be a whole number >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -199,15 +192,15 @@ def _iterate(problem, starts, balls, stop, trace=None):
     """Run x <- x - B F(x) from every row of starts at once.
 
     Row i keeps to the ball of radius balls[i] around starts[i] and stops
-    on its own, by these rules in this order: residual_tol, max_iter,
-    left_ball (the iterate that would leave is not taken), a failed F
-    evaluation, step_tol.  B is applied to all live rows with one stacked
-    mat-vec, each norm is one batched call per step, and rows are dropped
-    only on steps where some row stops.  Returns (limits, reasons,
-    failures): each row's last iterate, its stop reason, and
-    {row: EvaluationFailed} for the rows whose evaluation failed (their
-    reason stays None).  A trace gets the iterates and norms of row 0,
-    which is meant for a single row.
+    on its own.  At each iterate the rules win in this order: a failed F
+    evaluation, step_tol, residual_tol, max_iter; then left_ball, judged
+    on the step from it (the iterate that would leave is not taken).  B
+    is applied to all live rows with one stacked mat-vec, each norm is
+    one batched call per step, and rows are dropped only on steps where
+    some row stops.  Returns (limits, reasons, failures): each row's last
+    iterate, its stop reason, and {row: EvaluationFailed} for the rows
+    whose evaluation failed (their reason stays None).  A trace gets the
+    iterates and norms of row 0, which is meant for a single row.
     """
     norm, slope = problem.norm, problem.slope
     limits = np.empty_like(starts)
@@ -270,13 +263,14 @@ def fsi_solve(problem, stop=None, cert=None):
     """Run the iteration; returns (solution, trace).
 
     With a certificate attached the trust ball shrinks to radius
-    min(R, nu_star).  Reaching max_iter is a stop reason, not an error.
+    min(R, nu_star); a refused one raises NotCertifiedError.  Reaching
+    max_iter is a stop reason, not an error.
     """
     stop = stop or StoppingRule()
     ball = problem.R
     if cert is not None:
         if not cert.certified:
-            raise ValueError("attached certificate is not certified")
+            raise NotCertifiedError("attached certificate is not certified")
         ball = min(problem.R, cert.nu_star)
 
     trace = IterationTrace(iterates=[], step_norms=[], residual_norms=[],
@@ -317,17 +311,14 @@ def verify_majorization(trace, model):
     The scalar sequence and nu_star are computed from the model, so the
     trace does not need to have been produced with a certificate
     attached.  A model that fails the trace is reported, not raised; only
-    a model that certify refuses raises CertificateMissing.
+    a model that certify refuses raises NotCertifiedError.
     """
     if trace.num_steps < 1:
         raise ValueError("trace has no steps to verify")
-    try:
-        # the nu_star of analyze, without its second half
-        ns = majorant._left_bracket(model, majorant._nu(model))[3]
-    except NuNotContractive as exc:
-        raise CertificateMissing(str(exc)) from exc
+    # the nu_star of analyze, without its second half
+    ns = majorant._left_bracket(model, majorant._nu(model))[3]
     if ns is None:
-        raise CertificateMissing("model has no majorant root in [0, R], nothing to verify")
+        raise NotCertifiedError("model has no majorant root in [0, R], nothing to verify")
 
     steps = range(trace.num_steps)
     seq = list(itertools.islice(majorant.majorizing_terms(model), trace.num_steps + 1))

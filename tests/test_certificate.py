@@ -72,9 +72,9 @@ class TestCertify:
         assert cert.nu_star == pytest.approx(2.0 - SQRT2, abs=1e-10)
         assert cert.lambda_star == pytest.approx(2.0 + SQRT2, abs=1e-10)
         assert cert.uniqueness_boundary == BOUNDARY_OPEN
-        assert len(cert.scalar_sequence_preview) == 16
-        assert cert.scalar_sequence_preview[0] == 0.0
-        assert cert.scalar_sequence_preview[1] == 0.5
+        assert len(cert.scalar_sequence) == 16
+        assert cert.scalar_sequence[0] == 0.0
+        assert cert.scalar_sequence[1] == 0.5
 
     def test_tangency_closed_ball(self):
         cert = certify(model(l0=1.0))  # eta = eta_max = 0.5

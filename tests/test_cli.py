@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from fixedslope.certificate import REASON_NU_TOO_LARGE, certify, not_certified
+from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
 from fixedslope import __version__
 from fixedslope.cli import _build_parser, certificate_to_doc, main, read_certificate
 from fixedslope.comparison import ConditionReport
 from fixedslope.majorant import HoelderOmega, MajorantModel
 from fixedslope.problems import analytic_model, build_fixture
-from fixedslope.solver import eta_at_start, fsi_solve, nu_at_start
+from fixedslope.solver import estimate_majorant, fsi_solve
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,14 +100,14 @@ class TestCertify:
         direct = certify(analytic_model(build_fixture("scalar_quadratic")))
         assert cert.nu_star == direct.nu_star
         assert cert.lambda_star == direct.lambda_star
-        assert cert.scalar_sequence_preview == direct.scalar_sequence_preview
+        assert cert.scalar_sequence == direct.scalar_sequence
 
     def test_refusals_round_trip_every_field(self, tmp_path):
         needed = certify(MajorantModel(eta=0.5, R=0.3, omega=HoelderOmega(0.5, 1.0)))
         assert needed.nu_star_needed is not None
         problem = build_fixture("scalar_quadratic", b=0.5).problem
-        estimated = not_certified(REASON_NU_TOO_LARGE, nu_at_start(problem),
-                                  eta_at_start(problem), problem.R)
+        estimated = certify(estimate_majorant(problem))
+        assert estimated.reason == REASON_NU_TOO_LARGE
         for cert in (needed, estimated):
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(certificate_to_doc(cert)))
@@ -131,6 +131,13 @@ class TestCertify:
     def test_solved_start_exit_2(self, tmp_path, monkeypatch, capsys, problem):
         assert run(tmp_path, monkeypatch, ["certify", *problem]) == 2
         assert capsys.readouterr().err == f"error: {SOLVED}\n"
+        assert not (tmp_path / "certificate.json").exists()
+
+    def test_evaluation_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # F(x0) = x0^2 - c overflows; the message depends on the warnings filter
+        assert run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "x0=1e200"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "certificate.json").exists()
 
     def test_auto_measure_is_centered_without_a_closed_form(self, tmp_path, monkeypatch):

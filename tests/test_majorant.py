@@ -592,6 +592,7 @@ class TestRootIteration:
         (1e-300, 0.3, 0.5, 1e300, 1e308, 2e300),  # v**(1 + alpha) overflows at R
         (1e-300, 0.3, 0.0, 1e-300, 1e-299, 1e-300),
         (1e299, 1.0, 0.0, 1.5e-300, 1e-299, 1.6333997346592445e-300),  # v**2 underflows
+        (1.0, 1.0, 0.0, 0.375, 1.5, 0.5),  # g(R) == 0: the maximal root is read at R
     ])
     def test_extreme_scales_agree_with_bisection(self, l0, alpha, nu, eta, R, root):
         m = MajorantModel(eta, R, HoelderOmega(l0, alpha, nu))

@@ -13,11 +13,17 @@ from fixedslope import norms
 from fixedslope.certificate import REASON_NU_TOO_LARGE, REASON_RADIUS_TOO_SMALL, certify
 from fixedslope.errors import (
     BadParameters,
-    CertificateMissing,
     EvaluationFailed,
     JacobianMissing,
+    NotCertifiedError,
 )
-from fixedslope.majorant import HoelderOmega, MajorantModel, analyze, majorizing_terms
+from fixedslope.majorant import (
+    HoelderOmega,
+    MajorantModel,
+    TabulatedOmega,
+    analyze,
+    majorizing_terms,
+)
 from fixedslope.norms import matrix_norm, matrix_norms, vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture
 from fixedslope.solver import (
@@ -122,7 +128,7 @@ class TestFsiSolve:
         _, trace = fsi_solve(fx.problem, cert=cert)
         assert trace.num_steps > 16
         report = verify_majorization(trace, cert.model)
-        preview = cert.scalar_sequence_preview
+        preview = cert.scalar_sequence
         assert report.scalar_steps[:15] == [b - a for a, b in zip(preview, preview[1:])]
         assert report.error_bounds[:16] == [cert.nu_star - v for v in preview]
         assert tuple(itertools.islice(majorizing_terms(cert.model), len(preview))) == preview
@@ -164,10 +170,16 @@ class TestFsiSolve:
         with pytest.raises(BadParameters):
             StoppingRule(*tols)
 
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, 2.5, 0])
+    def test_max_iter_whole_and_positive(self, max_iter):
+        # steps >= nan is never true, so a NaN max_iter never stopped a run
+        with pytest.raises(BadParameters, match=rf"got {max_iter!r}$"):
+            StoppingRule(max_iter=max_iter)
+
     def test_uncertified_certificate_rejected(self):
         fx = build_fixture("scalar_quadratic")
         cert = certify(MajorantModel(eta=1.0, R=10.0, omega=HoelderOmega(1.0, 1.0, 0.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotCertifiedError):
             fsi_solve(fx.problem, cert=cert)
 
     @pytest.mark.parametrize("f, message", [
@@ -268,7 +280,7 @@ class TestVerifyMajorization:
         fx = build_fixture("scalar_quadratic")
         _, trace = fsi_solve(fx.problem)
         bad = MajorantModel(eta=1.0, R=10.0, omega=HoelderOmega(1.0, 1.0, 0.0))
-        with pytest.raises(CertificateMissing):
+        with pytest.raises(NotCertifiedError):
             verify_majorization(trace, bad)
 
     def test_radius_too_small_model_raises(self):
@@ -277,8 +289,16 @@ class TestVerifyMajorization:
         _, trace = fsi_solve(fx.problem)
         short = MajorantModel(eta=0.5, R=0.3, omega=HoelderOmega(0.5, 1.0, 0.0))
         assert certify(short).reason == REASON_RADIUS_TOO_SMALL
-        with pytest.raises(CertificateMissing):
+        with pytest.raises(NotCertifiedError):
             verify_majorization(trace, short)
+
+    def test_nu_too_large_tabulated_model_raises(self):
+        fx = build_fixture("scalar_quadratic")
+        _, trace = fsi_solve(fx.problem)
+        flat = MajorantModel(eta=0.5, R=10.0, omega=TabulatedOmega(((0.0, 1.0), (10.0, 1.0))))
+        assert certify(flat).reason == REASON_NU_TOO_LARGE
+        with pytest.raises(NotCertifiedError, match=r"^omega\(0\) = 1\.0 >= 1: "):
+            verify_majorization(trace, flat)
 
     def test_empty_trace_rejected(self):
         fx = build_fixture("scalar_quadratic", x0=math.sqrt(2.0))
@@ -319,6 +339,12 @@ class TestEstimateOmega:
     def test_jacobian_missing(self):
         p = Problem(f=lambda x: x, slope=np.eye(1), x0=np.zeros(1), R=1.0)
         with pytest.raises(JacobianMissing):
+            estimate_omega(p, "direct", radii=[0.5])
+
+    def test_non_finite_jacobian(self):
+        p = Problem(f=lambda x: x, slope=np.eye(1), x0=np.zeros(1), R=1.0,
+                    jacobian=lambda x: np.full(x.shape + (1,), np.nan))
+        with pytest.raises(EvaluationFailed, match=r"^jacobian returned non-finite values$"):
             estimate_omega(p, "direct", radii=[0.5])
 
     def test_radii_validation(self):
