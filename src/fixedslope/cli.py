@@ -30,6 +30,8 @@ import os
 import sys
 from dataclasses import MISSING, fields
 
+import numpy as np
+
 from . import __version__
 from .certificate import ConvergenceCertificate, certify
 from .comparison import HoelderParams, compare_report
@@ -342,12 +344,19 @@ def _cmd_list(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """--seed: the non-negative integer that numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_problem_arguments(sub, with_measure=True):
     sub.add_argument("problem", help="fixture name or path to a problem-spec .json")
     sub.add_argument("params", nargs="*", help="fixture parameters as key=value")
     sub.add_argument("--norm", choices=NORM_KINDS,
                      help="vector norm (default: the spec file's norm, else max)")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sub.add_argument("--radii", type=int, default=DEFAULT_NUM_RADII,
                      help="number of estimation radii (uniform up to R)")
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
@@ -410,7 +419,8 @@ def main(argv=None):
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_BAD_INPUT if code else EXIT_OK
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # finiteness checks report failed evaluations
+            return args.func(args)
     except (UnknownFixture, BadParameters, RadiusOutOfRange,
             OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,9 @@ class HoelderParams:
     eta: float
 
     def __post_init__(self):
-        self.omega()  # validates l0, alpha and nu
+        self.omega()  # validates l0, alpha and nu >= 0
+        if not self.nu < 1.0:  # the closed forms need 1 - nu > 0
+            raise ValueError(f"nu must be in [0, 1), got {self.nu}")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 

@@ -33,11 +33,11 @@ computes all three radii in one pass: certify and compare_report take
 every radius and every "has a root" verdict from it, and
 verify_majorization runs only its minimal-root half, _left_bracket.  It
 reads nu = omega(0) once, refuses nu >= 1 with NuNotContractive and
-returns nu with the radii (solver.estimate_majorant tests nu >= 1 itself,
-before it samples).  Without a root on [0, R], analyze also sizes
-nu_star_needed, the minimal root past R on the measure's whole domain.
-majorizing_terms() is the one generator of the majorizing sequence
-v_{k+1} = phi(v_k).
+returns nu with the radii: the one nu >= 1 test that decides a
+certificate, so every measure accepts a nu of any size.  Without a root
+on [0, R], analyze also sizes nu_star_needed, the minimal root past R on
+the measure's whole domain.  majorizing_terms() is the one generator of
+the majorizing sequence v_{k+1} = phi(v_k).
 """
 
 import bisect
@@ -61,7 +61,7 @@ _MERGE_BAND_REL = 1e-9
 
 @dataclass(frozen=True)
 class HoelderOmega:
-    """omega(v) = nu + l0 * v**alpha with l0 >= 0, alpha in (0, 1], nu in [0, 1)."""
+    """omega(v) = nu + l0 * v**alpha with l0 >= 0, alpha in (0, 1] and finite nu >= 0."""
 
     l0: float
     alpha: float
@@ -72,8 +72,8 @@ class HoelderOmega:
             raise ValueError(f"l0 must be finite and >= 0, got {self.l0}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.nu < 1.0):
-            raise ValueError(f"nu must be in [0, 1), got {self.nu}")
+        if not (self.nu >= 0.0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
 
     def value_and_integral(self, v):
         """(omega(v), exact integral of omega over [0, v]) from one power v**alpha.
@@ -92,7 +92,9 @@ class HoelderOmega:
         return self.value_and_integral(v)[1]
 
     def radius_where_one(self):
-        """Smallest v with omega(v) = 1; inf when omega stays below 1 on all floats."""
+        """Smallest v with omega(v) >= 1; inf when omega stays below 1 on all floats."""
+        if self.nu >= 1.0:
+            return 0.0
         if self.l0 == 0.0:
             return math.inf
         try:

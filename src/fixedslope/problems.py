@@ -69,9 +69,7 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
         R=R,
         norm=norm,
     )
-    nu = abs(2.0 * b * x0 - 1.0)
-    # nu >= 1 means the map is not contractive at x0; no certifiable closed form.
-    analytic = HoelderOmega(2.0 * abs(b), 1.0, nu) if nu < 1.0 else None
+    analytic = HoelderOmega(2.0 * abs(b), 1.0, abs(2.0 * b * x0 - 1.0))
     solution = math.sqrt(c) if x0 >= 0.0 else -math.sqrt(c)
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
@@ -108,8 +106,7 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
         R=R,
         norm=norm,
     )
-    nu = abs(b * d ** alpha - 1.0)
-    analytic = HoelderOmega(abs(b), alpha, nu) if nu < 1.0 else None
+    analytic = HoelderOmega(abs(b), alpha, abs(b * d ** alpha - 1.0))
     solution = a - math.copysign(((1.0 + alpha) * abs(c)) ** (1.0 / (1.0 + alpha)), c)
     return Fixture("scalar_holder", problem, analytic, np.array([solution]))
 

@@ -105,6 +105,13 @@ class Problem:
         return self.x0.shape[0]
 
 
+def _whole(value, name):
+    """value as an int; BadParameters naming it unless it is a whole number >= 1."""
+    if not (1 <= value < math.inf and value == math.floor(value)):
+        raise BadParameters(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     tol_step: float = 1e-12
@@ -114,8 +121,7 @@ class StoppingRule:
     def __post_init__(self):
         if not all(0.0 < t < math.inf for t in (self.tol_step, self.tol_residual)):
             raise BadParameters("stopping tolerances must be positive")
-        if not (1 <= self.max_iter < math.inf and self.max_iter == math.floor(self.max_iter)):
-            raise BadParameters(f"max_iter must be a whole number >= 1, got {self.max_iter!r}")
+        _whole(self.max_iter, "max_iter")
 
 
 @dataclass
@@ -373,13 +379,13 @@ def _sphere_points(problem, radius, samples, rng):
 
 def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEFAULT_SAMPLES,
                    seed=0):
-    """Sample-based tabulated continuity measure.
+    """Sample-based tabulated continuity measure, starting at nu = ||B F'(x0) - I||.
 
-    mode "direct" tabulates max ||B F'(x) - I|| over sampled spheres
-    (value at radius 0 is nu itself, of any size); mode "centered" tabulates
-    max ||B (F'(x) - F'(x0))|| with value 0 at radius 0.  Values are made
-    non-decreasing by a running maximum.  Sampling can only underestimate
-    the true supremum, so the result is a lower envelope of the measure.
+    Mode "direct" tabulates max ||B F'(x) - I|| over sampled spheres, mode
+    "centered" nu + max ||B (F'(x) - F'(x0))||, which dominates it by the
+    triangle inequality.  B F'(x0) is formed once and nu may be of any size.
+    Values are made non-decreasing by a running maximum.  Sampling can only
+    underestimate the true supremum, so the result is a lower envelope.
     """
     if mode not in (MODE_DIRECT, MODE_CENTERED):
         raise BadParameters(f"mode must be 'direct' or 'centered', got {mode!r}")
@@ -392,22 +398,21 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
         raise BadParameters("radii must increase strictly")
     if radii[-1] > problem.R * (1.0 + 1e-12):
         raise BadParameters(f"largest radius {radii[-1]} exceeds R={problem.R}")
-    if samples_per_radius < 1:
-        raise BadParameters("samples_per_radius must be >= 1")
+    samples = _whole(samples_per_radius, "samples_per_radius")
 
     n = problem.dim
-    if mode == MODE_DIRECT:
-        base, shift = nu_at_start(problem), np.eye(n)
-    else:
-        base, shift = 0.0, problem.slope @ _jacobians(problem, problem.x0[None])[0]
+    eye = np.eye(n)
+    start = problem.slope @ _jacobians(problem, problem.x0[None])[0]
+    nu = matrix_norm(start - eye, problem.norm)
+    # direct: the running max starts at nu; centered: nu lifts each knot after the max
+    running, shift, lift = (nu, eye, 0.0) if mode == MODE_DIRECT else (0.0, start, nu)
 
     chunk = max(1, _STACK_FLOATS // n**2)
     rng = np.random.default_rng(seed)
-    knots = [(0.0, base)]
-    running = base
+    knots = [(0.0, nu)]
     work = None
     for radius in radii:
-        points = _sphere_points(problem, radius, samples_per_radius, rng)
+        points = _sphere_points(problem, radius, samples, rng)
         if work is None:  # every radius draws the same number of points
             work = np.empty((min(len(points), chunk), n, n))
             grams = np.empty((2,) + work.shape) if problem.norm == "two" else None
@@ -416,7 +421,7 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
             stack = np.matmul(problem.slope, _jacobians(problem, x), out=work[:len(x)])
             stack -= shift
             running = _max_norm_in_place(stack, problem.norm, running, grams)
-        knots.append((radius, running))
+        knots.append((radius, running + lift))
     return TabulatedOmega(tuple(knots))
 
 
@@ -424,12 +429,6 @@ def default_radii(R, num=DEFAULT_NUM_RADII):
     if num < 1:
         raise BadParameters(f"number of radii must be >= 1, got {num}")
     return list(np.linspace(R / num, R, num))
-
-
-def nu_at_start(problem):
-    """||B F'(x0) - I||, the contraction defect at the starting point."""
-    j0 = _jacobians(problem, problem.x0[None])[0]
-    return matrix_norm(problem.slope @ j0 - np.eye(problem.dim), problem.norm)
 
 
 def eta_at_start(problem):
@@ -452,27 +451,17 @@ def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,
     """Tabulated majorant model with the tight first-step bound.
 
     eta is exactly ||B F(x0)|| (eta_at_start, which refuses a solved
-    start).  In centered mode the measure is the centered estimate
-    shifted up by nu = ||B F'(x0) - I||, which dominates the direct
-    estimate pointwise by the triangle inequality.
-    When nu >= 1 either mode returns the constant measure nu without
-    sampling: it is a true lower envelope, and certify refuses it.
-    Otherwise radii that stop short of R are refused with BadParameters
-    before any sampling, since the model's measure must cover [0, R].
+    start) and the measure is estimate_omega's, whatever its nu.  Radii
+    that stop short of R are refused with BadParameters before any
+    Jacobian is evaluated, since the model's measure must cover [0, R].
     """
     eta = eta_at_start(problem)
-    nu = nu_at_start(problem)
-    if nu >= 1.0:
-        return MajorantModel(eta=eta, R=problem.R,
-                             omega=TabulatedOmega(((0.0, nu), (problem.R, nu))))
     top = problem.R if radii is None else max(map(float, radii), default=problem.R)
     if top < problem.R:
         raise BadParameters(f"largest radius {top} is below R={problem.R}: "
                             "the measure must cover [0, R]")
-    omega = estimate_omega(problem, mode, radii, samples_per_radius, seed)
-    if mode == MODE_CENTERED:
-        omega = TabulatedOmega(tuple((r, w + nu) for r, w in omega.knots))
-    return MajorantModel(eta=eta, R=problem.R, omega=omega)
+    return MajorantModel(eta, problem.R,
+                         estimate_omega(problem, mode, radii, samples_per_radius, seed))
 
 
 @dataclass
@@ -515,8 +504,7 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
         raise NotCertifiedError("uniqueness probe needs a certified certificate")
     if cert.lambda_star > problem.R + _SLACK:
         raise BadParameters("uniqueness radius exceeds the problem trust radius")
-    if num_starts < 1:
-        raise BadParameters("num_starts must be >= 1")
+    num_starts = _whole(num_starts, "num_starts")
 
     starts = _probe_starts(problem, cert.lambda_star, num_starts, seed)
     balls = vector_norms(starts - problem.x0, problem.norm) + cert.lambda_star

@@ -169,12 +169,19 @@ class TestHolderForms:
 
     @pytest.mark.parametrize("l0, alpha, nu", [
         (-1.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
-        (1.0, 0.0, 0.0), (1.0, 1.5, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.1),
+        (1.0, 0.0, 0.0), (1.0, 1.5, 0.0), (1.0, 1.0, math.inf), (1.0, 1.0, -0.1),
     ])
     def test_one_validation_of_hoelder_data(self, l0, alpha, nu):
         for build in (HoelderOmega, lambda *a: HoelderParams(*a, 0.5)):
             with pytest.raises(ValueError):
                 build(l0, alpha, nu)
+
+    def test_hoelder_params_need_nu_below_one(self):
+        # the measure takes nu = 1 and certify refuses it; the closed forms need 1 - nu > 0
+        assert certify(MajorantModel(0.5, 10.0, HoelderOmega(1.0, 1.0, 1.0))).reason == (
+            REASON_NU_TOO_LARGE)
+        with pytest.raises(ValueError, match=r"^nu must be in \[0, 1\), got 1\.0$"):
+            HoelderParams(1.0, 1.0, 1.0, 0.5)
 
     def test_check_condition(self):
         assert check_holder_condition(HoelderParams(1.0, 1.0, 0.0, 0.5))  # equality

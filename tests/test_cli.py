@@ -71,7 +71,7 @@ class TestCertify:
         assert doc["nu"] == 1.0
 
     def test_refusal_evaluates_the_start_once(self, tmp_path, monkeypatch):
-        # nu = |2 b x0 - 1| = 2: the estimator measures the start and refuses
+        # nu = |2 b x0 - 1| = 2: the closed form refuses it, no Jacobian is evaluated
         calls = {"f": 0, "jacobian": 0}
 
         def counted(key, fn):
@@ -90,7 +90,16 @@ class TestCertify:
         code = run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "b=0.5", "x0=3"])
         assert code == 1
         assert json.loads((tmp_path / "certificate.json").read_text())["nu"] == 2.0
-        assert calls == {"f": 1, "jacobian": 1}
+        assert calls == {"f": 1, "jacobian": 0}
+
+    def test_analytic_measure_refuses_a_non_contractive_start(self, tmp_path, monkeypatch):
+        argv = ["scalar_quadratic", "b=0.5", "x0=3", "--measure", "analytic"]
+        assert run(tmp_path, monkeypatch, ["certify", *argv]) == 1
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert (doc["reason"], doc["nu"]) == ("nu_too_large", 2.0)
+        assert run(tmp_path, monkeypatch, ["solve", *argv]) == 0
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["certificate"] == "refused: nu_too_large"
 
     def test_round_trip_bit_for_bit(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch, ["certify", "scalar_quadratic"])
@@ -134,11 +143,20 @@ class TestCertify:
         assert not (tmp_path / "certificate.json").exists()
 
     def test_evaluation_failure_exit_3(self, tmp_path, monkeypatch, capsys):
-        # F(x0) = x0^2 - c overflows; the message depends on the warnings filter
+        # F(x0) = x0^2 - c overflows; the finiteness check reports it
         assert run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "x0=1e200"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert capsys.readouterr().err == "error: operator returned non-finite values\n"
         assert not (tmp_path / "certificate.json").exists()
+
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    def test_evaluation_failure_ignores_the_warnings_filter(self, tmp_path, warnings):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "fixedslope.cli", "certify",
+             "scalar_quadratic", "x0=1e200"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (3, "error: operator returned non-finite values\n")
 
     def test_auto_measure_is_centered_without_a_closed_form(self, tmp_path, monkeypatch):
         argv = ["certify", "chandrasekhar", "n=8", "--norm", "one", "--radii", "4",
@@ -346,12 +364,23 @@ class TestEstimateOmega:
             assert w == pytest.approx(r / 2.0, abs=1e-14)
 
     def test_centered_mode(self, tmp_path, monkeypatch):
-        code = run(tmp_path, monkeypatch,
-                   ["estimate-omega", "poly2d", "--mode", "centered",
-                    "--radii", "3", "--samples", "16", "--out", "om.csv"])
-        assert code == 0
-        lines = (tmp_path / "om.csv").read_text().splitlines()
-        assert float(lines[1].split(",")[1]) == 0.0  # centered knot at 0
+        rows = {}
+        for mode in ("direct", "centered"):
+            code = run(tmp_path, monkeypatch,
+                       ["estimate-omega", "poly2d", "--mode", mode,
+                        "--radii", "3", "--samples", "16", "--out", "om.csv"])
+            assert code == 0
+            rows[mode] = (tmp_path / "om.csv").read_text().splitlines()
+        # both modes start at nu, here rounding noise of B = F'(x0)^{-1}
+        assert rows["centered"][1] == rows["direct"][1]
+        assert float(rows["centered"][1].split(",")[1]) <= 1e-15
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exit_2(self, tmp_path, monkeypatch, capsys, seed):
+        code = run(tmp_path, monkeypatch, ["estimate-omega", "poly2d", "--seed", seed])
+        assert code == 2
+        assert (f"argument --seed: must be a non-negative integer, got {seed!r}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [
         ["certify", "chandrasekhar", "--measure", "centered"],

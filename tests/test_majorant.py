@@ -124,8 +124,20 @@ class TestOmegaMeasures:
             HoelderOmega(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             HoelderOmega(1.0, 1.5, 0.0)
-        with pytest.raises(ValueError):
-            HoelderOmega(1.0, 1.0, 1.0)
+        for nu in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^nu must be finite and >= 0, got "):
+                HoelderOmega(1.0, 1.0, nu)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.5])
+    def test_hoelder_nu_of_one_or_more(self, nu):
+        # a measure like any other, and reaching 1 at 0 as a tabulated one does;
+        # only analyze refuses it
+        om = HoelderOmega(0.5, 0.5, nu)
+        flat = TabulatedOmega(((0.0, nu), (1.0, nu)))
+        assert om.radius_where_one() == flat.radius_where_one() == 0.0
+        assert om.value(0.0) == nu
+        with pytest.raises(NuNotContractive):
+            analyze(MajorantModel(1.0, 2.0, om))
 
     def test_tabulated_eval(self):
         om = TabulatedOmega(((0.0, 0.1), (1.0, 0.5), (2.0, 0.5)))

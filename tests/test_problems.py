@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from exact_measures import EXACT
-from fixedslope.certificate import certify
+from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
 from fixedslope.errors import BadParameters, UnknownFixture
+from fixedslope.majorant import HoelderOmega
 from fixedslope.norms import vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture, fixture_names
 from fixedslope.solver import estimate_majorant, estimate_omega, eta_at_start, fsi_solve
@@ -80,9 +81,11 @@ class TestScalarQuadratic:
         assert analytic_model(fx).eta == 0.5
         assert fx.analytic.nu == 0.0
 
-    def test_non_contractive_start_has_no_analytic(self):
+    def test_non_contractive_start_keeps_its_closed_form(self):
         fx = build_fixture("scalar_quadratic", x0=2.0, b=0.5)  # nu = 1
-        assert fx.analytic is None
+        assert fx.analytic == HoelderOmega(1.0, 1.0, 1.0)
+        cert = certify(analytic_model(fx))
+        assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
 
 
 class TestLinear:

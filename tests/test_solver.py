@@ -360,13 +360,27 @@ class TestEstimateOmega:
             with pytest.raises(BadParameters):
                 estimate_omega(linear, "direct", radii=bad)
 
-    def test_nu_not_contractive(self):
-        # estimate_omega only measures; estimate_majorant hands certify the constant nu
-        p = quad_problem(x0=2.0, b=0.5)  # |2 b x0 - 1| = 1
-        assert estimate_omega(p, "direct", radii=[0.5]).knots[0] == (0.0, 1.0)
-        model = estimate_majorant(p, mode="direct", radii=[0.5])
-        assert model.omega.knots == ((0.0, 1.0), (p.R, 1.0))
-        assert certify(model).reason == REASON_NU_TOO_LARGE
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    def test_nu_not_contractive(self, mode):
+        # the estimate starts at nu of any size; only certify refuses it
+        p = quad_problem(x0=2.0, b=0.5)  # |2 b x0 - 1| = 1, B F'(x) - 1 = x - 1
+        assert estimate_omega(p, mode, radii=[0.5]).knots == ((0.0, 1.0), (0.5, 1.5))
+        model = estimate_majorant(p, mode=mode, radii=[5.0, 10.0])
+        assert model.omega.knots == ((0.0, 1.0), (5.0, 6.0), (10.0, 11.0))
+        cert = certify(model)
+        assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
+
+    @pytest.mark.parametrize("samples", [2.5, math.nan, math.inf, 0, -1])
+    def test_samples_whole_and_positive(self, samples):
+        problem = build_fixture("poly2d").problem
+        with pytest.raises(BadParameters, match=rf"^samples_per_radius must be a whole "
+                                                rf"number >= 1, got {samples!r}$"):
+            estimate_omega(problem, "direct", radii=[1.0], samples_per_radius=samples)
+
+    def test_whole_float_samples_count(self):
+        problem = build_fixture("poly2d").problem
+        assert (estimate_omega(problem, "direct", radii=[1.0], samples_per_radius=4.0)
+                == estimate_omega(problem, "direct", radii=[1.0], samples_per_radius=4))
 
     def test_estimator_consistency_two_percent(self):
         # analytic measures are reproduced within 2% at every radius
@@ -394,9 +408,10 @@ class TestEstimateOmega:
 
         eye = np.eye(problem.dim)
         bj0 = problem.slope @ problem.jacobian(problem.x0)
+        nu = matrix_norm(bj0 - eye, norm)
         shift = eye if mode == "direct" else bj0
-        running = matrix_norm(bj0 - eye, norm) if mode == "direct" else 0.0
-        expected = [(0.0, running)]
+        running, lift = (nu, 0.0) if mode == "direct" else (0.0, nu)
+        expected = [(0.0, nu)]
         rng = np.random.default_rng(5)
         for r in radii:
             points = _sphere_points(problem, r, 40, rng)
@@ -404,7 +419,7 @@ class TestEstimateOmega:
             worst = max(matrix_norm(problem.slope @ problem.jacobian(x) - shift, norm)
                         for x in points)
             running = max(running, worst)
-            expected.append((r, running))
+            expected.append((r, running + lift))
 
         if norm == "two":
             assert np.allclose(om.knots, expected, rtol=0.0, atol=1e-12)
@@ -463,17 +478,18 @@ def fresh_array_omega(problem, mode, radii, samples, seed):
     """Knots of estimate_omega from fresh arrays per stack and every matrix's own norm."""
     eye = np.eye(problem.dim)
     bj0 = problem.slope @ problem.jacobian(problem.x0[None])[0]
+    nu = matrix_norm(bj0 - eye, problem.norm)
     shift = eye if mode == "direct" else bj0
-    running = matrix_norm(bj0 - eye, problem.norm) if mode == "direct" else 0.0
+    running, lift = (nu, 0.0) if mode == "direct" else (0.0, nu)
     chunk = max(1, _STACK_FLOATS // problem.dim**2)
     rng = np.random.default_rng(seed)
-    knots = [(0.0, running)]
+    knots = [(0.0, nu)]
     for r in radii:
         points = _sphere_points(problem, r, samples, rng)
         for lo in range(0, len(points), chunk):
             stack = np.matmul(problem.slope, problem.jacobian(points[lo:lo + chunk])) - shift
             running = max(running, float(matrix_norms(stack, problem.norm).max()))
-        knots.append((r, running))
+        knots.append((r, running + lift))
     return tuple(knots)
 
 
@@ -547,19 +563,22 @@ class TestEstimateMajorant:
         assert m.R == fx.problem.R
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
-    def test_each_mode_refuses_before_sampling(self, mode):
+    def test_non_contractive_start_is_sampled_then_refused(self, mode):
         problem = quad_problem(b=0.5)  # x0 = 2: nu = |2 b x0 - 1| = 1
-        calls = []
-
-        def jacobian(x):
-            calls.append(x)
-            return problem.jacobian(x)
-
-        counted = Problem(f=problem.f, slope=problem.slope, x0=problem.x0,
-                          R=problem.R, jacobian=jacobian)
-        cert = certify(estimate_majorant(counted, mode=mode))
+        rows = []
+        counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
+        cert = certify(estimate_majorant(counted, mode=mode, radii=[5.0, 10.0]))
         assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
-        assert len(calls) == 1  # the start's Jacobian only: nothing is sampled
+        assert rows == [1, 2, 2]  # the start once, then the two-point spheres
+
+    @pytest.mark.parametrize("estimate", [estimate_omega, estimate_majorant])
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    def test_start_jacobian_evaluated_once(self, mode, estimate):
+        problem = build_fixture("poly2d").problem  # R = 2
+        rows = []
+        counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
+        estimate(counted, mode=mode, radii=[1.0, 2.0], samples_per_radius=4)
+        assert rows == [1, 4, 4]
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     def test_radii_short_of_R_refused_before_sampling(self, mode):
@@ -568,7 +587,7 @@ class TestEstimateMajorant:
         counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
         with pytest.raises(BadParameters, match=r"largest radius 0\.5 is below R=2\.0"):
             estimate_majorant(counted, mode=mode, radii=[0.5], samples_per_radius=4)
-        assert rows == [1]  # the start's Jacobian only: nothing is sampled
+        assert rows == []  # no Jacobian at all, not even the start's
         # estimate_omega only measures, so it still tabulates such radii
         om = estimate_omega(problem, mode, radii=[0.5], samples_per_radius=4)
         assert om.max_radius() == 0.5
@@ -708,6 +727,15 @@ class TestUniquenessProbe:
         bad = certify(MajorantModel(eta=1.0, R=10.0, omega=HoelderOmega(1.0, 1.0, 0.0)))
         with pytest.raises(NotCertifiedError):
             uniqueness_probe(fx.problem, bad, num_starts=2)
+
+    @pytest.mark.parametrize("num_starts", [2.5, math.nan, math.inf, 0, -1])
+    def test_num_starts_whole_and_positive(self, num_starts):
+        fx = build_fixture("scalar_quadratic")
+        cert = certify(analytic_model(fx))
+        with pytest.raises(BadParameters, match=rf"^num_starts must be a whole number >= 1, "
+                                                rf"got {num_starts!r}$"):
+            uniqueness_probe(fx.problem, cert, num_starts=num_starts)
+        assert uniqueness_probe(fx.problem, cert, num_starts=3.0).num_starts == 3
 
 
 class TestContainment:
