@@ -351,15 +351,27 @@ def _seed(text):
     return int(text)
 
 
+def _count(text, words="must be a whole number >= 1"):
+    """--samples and --max-iter: a whole number >= 1, refused in these words."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{words}, got {text!r}")
+    return int(text)
+
+
+def _num_radii(text):
+    """--radii: a count, refused in default_radii's words."""
+    return _count(text, "number of radii must be >= 1 and whole")
+
+
 def _add_problem_arguments(sub, with_measure=True):
     sub.add_argument("problem", help="fixture name or path to a problem-spec .json")
     sub.add_argument("params", nargs="*", help="fixture parameters as key=value")
     sub.add_argument("--norm", choices=NORM_KINDS,
                      help="vector norm (default: the spec file's norm, else max)")
     sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    sub.add_argument("--radii", type=int, default=DEFAULT_NUM_RADII,
+    sub.add_argument("--radii", type=_num_radii, default=DEFAULT_NUM_RADII,
                      help="number of estimation radii (uniform up to R)")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    sub.add_argument("--samples", type=_count, default=DEFAULT_SAMPLES,
                      help="sphere samples per radius for estimation")
     if with_measure:
         sub.add_argument("--measure", choices=("auto", "analytic", "direct", "centered"),
@@ -388,7 +400,7 @@ def _build_parser():
                        help="do not attach a certificate even if obtainable")
     solve.add_argument("--tol-step", type=float, default=StoppingRule.tol_step)
     solve.add_argument("--tol-residual", type=float, default=StoppingRule.tol_residual)
-    solve.add_argument("--max-iter", type=int, default=StoppingRule.max_iter)
+    solve.add_argument("--max-iter", type=_count, default=StoppingRule.max_iter)
     solve.add_argument("--trace", default="trace.csv")
     solve.add_argument("--report", default="solve_report.json")
     solve.set_defaults(func=_cmd_solve)

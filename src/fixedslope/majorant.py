@@ -21,7 +21,11 @@ Both roots come from one safeguarded Newton iteration started where g > 0
 (at 0 and at R); each is the float beside the root where the computed g
 is <= 0.  Each step evaluates the measure once: value_and_integral gives
 omega and its integral at one radius, so g and its slope omega - 1 come
-from the same knot search or the same power v**alpha.
+from the same knot search or the same power v**alpha.  The root steps,
+the bracket end at R and the majorizing sequence read the measure
+directly and form g, its slope and phi in place, with the operations of
+phi and g; those two are the public one-point forms, and give the one
+value g(gamma_star) of each left bracket.
 
 A minimal root exists iff g(gamma_star) <= 0; when that minimum sits on
 zero the two roots merge (double root) and the bracket degenerates, so
@@ -217,14 +221,6 @@ def g(model, v):
     return phi(model, v) - v
 
 
-def _g_slope(model, v):
-    """(g(v), omega(v) - 1): g and its slope from one evaluation of the measure."""
-    if v < 0.0 or v > model.R:
-        raise RadiusOutOfRange(f"v={v} outside [0, {model.R}]")
-    w, integral = model.omega.value_and_integral(v)
-    return model.eta + integral - v, w - 1.0
-
-
 def _root(model, pos, g_pos, slope_pos, neg):
     """The float at the g <= 0 end of the sign change of g between pos and neg.
 
@@ -235,8 +231,12 @@ def _root(model, pos, g_pos, slope_pos, neg):
     until rounding stops them; a step that leaves the bracket, has a
     wrong-signed slope or exceeds half the step before last is a bisection
     instead (rtsafe).  The bracket is then widened from there in doubling
-    steps and bisected.
+    steps and bisected.  Each step forms g = eta + integral - v and its
+    slope from the measure's value_and_integral directly; every point lies
+    strictly inside the bracket, and so inside [0, R], where g needs no
+    range check.
     """
+    eta, evaluate = model.eta, model.omega.value_and_integral
     last = before = math.inf  # lengths of the last step and of the one before
     for _ in range(_ROOT_STEPS):
         lo, hi = (pos, neg) if pos < neg else (neg, pos)
@@ -248,9 +248,10 @@ def _root(model, pos, g_pos, slope_pos, neg):
         if not lo < x < hi:
             return neg
         before, last = last, abs(x - pos)
-        g_x, slope_x = _g_slope(model, x)
+        w, integral = evaluate(x)
+        g_x = eta + integral - x
         if g_x > 0.0:
-            pos, g_pos, slope_pos = x, g_x, slope_x
+            pos, g_pos, slope_pos = x, g_x, w - 1.0
         else:
             neg = x
             if newton:  # only rounding carries Newton across the root
@@ -259,7 +260,7 @@ def _root(model, pos, g_pos, slope_pos, neg):
         return neg
     # rounding blurs the sign of g over about an ulp of its largest term,
     # max(eta, x) near a root, over its slope: widening starts there
-    blur = max(math.ulp(x), math.ulp(max(model.eta, x)) / abs(slope_pos))
+    blur = max(math.ulp(x), math.ulp(max(eta, x)) / abs(slope_pos))
     step = math.copysign(blur, (neg if x == pos else pos) - x)
     for _ in range(_ROOT_STEPS):
         lo, hi = (pos, neg) if pos < neg else (neg, pos)
@@ -267,7 +268,7 @@ def _root(model, pos, g_pos, slope_pos, neg):
         y = x + step if widen else 0.5 * (lo + hi)
         if not lo < y < hi:
             break
-        pos, neg = (y, neg) if _g_slope(model, y)[0] > 0.0 else (pos, y)
+        pos, neg = (y, neg) if eta + evaluate(y)[1] - y > 0.0 else (pos, y)
         if widen:  # go on from y while it replaced x as an end of the bracket
             x, step = (x, math.nan) if x in (pos, neg) else (y, 2.0 * step)
     return neg
@@ -351,21 +352,23 @@ def analyze(model):
     gam, stol, g_gam, ns = _left_bracket(model, nu)
     if ns is None:
         return RootAnalysis(nu, gam, None, None, None, None, _needed_radius(model, nu))
+    eta, R = model.eta, model.R
     if abs(g_gam) <= stol:
         nss = ns  # double root
     else:
-        g_r, slope_r = _g_slope(model, model.R)
+        w, integral = model.omega.value_and_integral(R)
+        g_r = eta + integral - R
         if g_r < -stol:
             nss = None
         elif g_r <= stol:
-            nss = model.R
+            nss = R
         else:
-            nss = _root(model, model.R, g_r, slope_r, gam)
-    band = max(10.0 * stol, _MERGE_BAND_REL * model.eta)
+            nss = _root(model, R, g_r, w - 1.0, gam)
+    band = max(10.0 * stol, _MERGE_BAND_REL * eta)
     if g_gam >= -band:
         lam, case = ns, "B1"
     elif nss is None:
-        lam, case = model.R, "B1"
+        lam, case = R, "B1"
     else:
         lam, case = nss, "B2"
     return RootAnalysis(nu, gam, ns, nss, lam, case)
@@ -380,9 +383,14 @@ def majorizing_terms(model):
     rounding at nu_star = R and reads as R; a model without a root still
     climbs out of [0, R] and raises RadiusOutOfRange.
     """
+    eta, R, evaluate = model.eta, model.R, model.omega.value_and_integral
+    cap = R + 4.0 * math.ulp(R)
     v = 0.0
     while True:
         yield v
-        v = max(phi(model, v), v)
-        if model.R < v <= model.R + 4.0 * math.ulp(model.R):
-            v = model.R
+        if v > R:  # the terms never fall below v_0 = 0
+            raise RadiusOutOfRange(f"v={v} outside [0, {R}]")
+        phi_v = eta + evaluate(v)[1]
+        v = v if v > phi_v else phi_v  # max(phi_v, v) without the call: a nan phi_v stays
+        if R < v <= cap:
+            v = R

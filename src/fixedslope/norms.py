@@ -75,22 +75,19 @@ def matrix_norm(a, kind="max"):
     return float(matrix_norms(a, kind))
 
 
-def _spectral_candidates(a, floor, grams):
+def _spectral_candidates(a, peak, floor, grams):
     """Mask of the matrices in a stack whose spectral norm can reach max(floor, the stack max).
 
     With G = a^T a, ||a||_2^4 = lambda_max(G^2), which lies between the
     Rayleigh quotient of G^2 at its largest column x, ||G x||^2 / ||x||^2,
     and ||G^2||_F.  Each matrix is first scaled exactly, by the power of two
-    just above its largest entry, so that the bounds neither overflow nor
-    underflow.  Every matrix is kept when an entry is not finite, or when
-    the threshold is inf or below the normal floats, where the unscaled
-    bounds could round by more than the margin.  a is only read: the scaled
-    copy and G^2 go to grams[0], G to grams[1].
+    just above its largest entry (peak, finite), so that the bounds neither
+    overflow nor underflow.  Every matrix is kept when the threshold is inf
+    or below the normal floats, where the unscaled bounds could round by
+    more than the margin.  a is only read: the scaled copy and G^2 go to
+    grams[0], G to grams[1].
     """
     keep = np.ones(len(a), dtype=bool)
-    peak = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
-    if not np.isfinite(peak).all():
-        return keep
     e = np.frexp(peak)[1]
     grams = grams[:, :len(a)]
     s = np.ldexp(a, -e[:, None, None], out=grams[0])
@@ -112,6 +109,9 @@ def _spectral_candidates(a, floor, grams):
 def _max_norm_in_place(a, kind, floor, grams):
     """max(floor, matrix_norms(a, kind).max()), bit for bit, of a float stack (S, n, n).
 
+    A stack with an entry or a norm that is not finite gives nan or inf,
+    never floor: "two" tests the stack's largest |entry| before any SVD,
+    "max" and "one" the reduced norms, whose sums carry a nan or inf entry.
     a may be overwritten: "max" and "one" replace a by |a| and reduce that,
     and ignore grams.
     "two" only reads a and writes its Gram matrices into grams, scratch of
@@ -119,6 +119,11 @@ def _max_norm_in_place(a, kind, floor, grams):
     stack.
     """
     if kind == "two":
-        a = a[_spectral_candidates(a, floor, grams)]
-        return max(floor, float(matrix_norms(a, kind).max(initial=-np.inf)))
-    return max(floor, float(_abs_norms(np.abs(a, out=a), kind).max(initial=-np.inf)))
+        peak = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+        if not np.isfinite(peak).all():
+            return float(peak.max())
+        a = a[_spectral_candidates(a, peak, floor, grams)]
+        top = float(matrix_norms(a, kind).max(initial=-np.inf))
+    else:
+        top = float(_abs_norms(np.abs(a, out=a), kind).max(initial=-np.inf))
+    return floor if floor > top else top  # a nan top passes through

@@ -69,6 +69,11 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
         R=R,
         norm=norm,
     )
+    if not math.isfinite(2.0 * b):
+        raise BadParameters(f"scalar_quadratic: b={b!r} overflows its measure's l0 = 2|b|")
+    if not math.isfinite(2.0 * b * x0):
+        raise BadParameters(f"scalar_quadratic: b={b!r} with x0={x0!r} overflows "
+                            f"its measure's nu = |2 b x0 - 1|")
     analytic = HoelderOmega(2.0 * abs(b), 1.0, abs(2.0 * b * x0 - 1.0))
     solution = math.sqrt(c) if x0 >= 0.0 else -math.sqrt(c)
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
@@ -106,6 +111,9 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
         R=R,
         norm=norm,
     )
+    if not math.isfinite(b * d ** alpha):
+        raise BadParameters(f"scalar_holder: b={b!r} with x0={x0!r} and a={a!r} overflows "
+                            f"its measure's nu = |b |x0 - a|^alpha - 1|")
     analytic = HoelderOmega(abs(b), alpha, abs(b * d ** alpha - 1.0))
     solution = a - math.copysign(((1.0 + alpha) * abs(c)) ** (1.0 / (1.0 + alpha)), c)
     return Fixture("scalar_holder", problem, analytic, np.array([solution]))

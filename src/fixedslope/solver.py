@@ -185,13 +185,25 @@ def _eval_rows(problem, x):
 
 
 def _jacobians(problem, x):
-    """F' at every row of x as an (S, n, n) stack; any failure raises."""
+    """F' at every row of x as an (S, n, n) stack; finiteness is left to _finite_norm."""
     if problem.jacobian is None:
         raise JacobianMissing("problem has no jacobian evaluator")
-    j = _evaluate(problem.jacobian, x, x.shape + (problem.dim,), "jacobian")
-    if not np.all(np.isfinite(j)):
+    return _evaluate(problem.jacobian, x, x.shape + (problem.dim,), "jacobian")
+
+
+def _finite_norm(value, jacobians, radius, norm):
+    """value, a norm reduced from B F'(x) at these Jacobians, unless it is nan or inf.
+
+    Then EvaluationFailed names the Jacobians when one of their entries is
+    not finite, else B F'(x).  A non-finite entry of F'(x) leaves its whole
+    column of B F'(x) non-finite for a finite B (0 * inf is nan), so the
+    entries are searched only once a norm has failed.
+    """
+    if value < math.inf:
+        return value
+    if not np.isfinite(jacobians).all():
         raise EvaluationFailed("jacobian returned non-finite values")
-    return j
+    raise EvaluationFailed(f"B F'(x) is not finite in the {norm} norm at radius {radius!r}")
 
 
 def _iterate(problem, starts, balls, stop, trace=None):
@@ -400,10 +412,15 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
         raise BadParameters(f"largest radius {radii[-1]} exceeds R={problem.R}")
     samples = _whole(samples_per_radius, "samples_per_radius")
 
-    n = problem.dim
+    n, norm = problem.dim, problem.norm
     eye = np.eye(n)
-    start = problem.slope @ _jacobians(problem, problem.x0[None])[0]
-    nu = matrix_norm(start - eye, problem.norm)
+    # B F'(x) and its norms may overflow or hold nan: _finite_norm raises for them
+    jac = _jacobians(problem, problem.x0[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = problem.slope @ jac[0]
+        # a non-finite matrix never reaches the SVD of the two norm
+        nu = matrix_norm(start - eye, norm) if np.isfinite(start).all() else math.nan
+    nu = _finite_norm(nu, jac, 0.0, norm)
     # direct: the running max starts at nu; centered: nu lifts each knot after the max
     running, shift, lift = (nu, eye, 0.0) if mode == MODE_DIRECT else (0.0, start, nu)
 
@@ -415,12 +432,15 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
         points = _sphere_points(problem, radius, samples, rng)
         if work is None:  # every radius draws the same number of points
             work = np.empty((min(len(points), chunk), n, n))
-            grams = np.empty((2,) + work.shape) if problem.norm == "two" else None
+            grams = np.empty((2,) + work.shape) if norm == "two" else None
         for lo in range(0, len(points), chunk):
             x = points[lo:lo + chunk]
-            stack = np.matmul(problem.slope, _jacobians(problem, x), out=work[:len(x)])
-            stack -= shift
-            running = _max_norm_in_place(stack, problem.norm, running, grams)
+            jac = _jacobians(problem, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = np.matmul(problem.slope, jac, out=work[:len(x)])
+                stack -= shift
+                top = _max_norm_in_place(stack, norm, running, grams)
+            running = _finite_norm(top, jac, radius, norm)
         knots.append((radius, running + lift))
     return TabulatedOmega(tuple(knots))
 

@@ -170,6 +170,11 @@ class TestCertify:
         assert run(tmp_path, monkeypatch,
                    ["certify", "scalar_quadratic", "c=-5"]) == 2
 
+    def test_overflowing_closed_form_exit_2(self, tmp_path, monkeypatch, capsys):
+        assert run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "b=1e308"]) == 2
+        assert ("error: scalar_quadratic: b=1e+308 overflows its measure's l0 = 2|b|"
+                in capsys.readouterr().err)
+
 
 class TestSolve:
     def test_linear_trace(self, tmp_path, monkeypatch):
@@ -289,13 +294,14 @@ class TestSolve:
         assert a == b
 
     @pytest.mark.parametrize("radii", ["0", "-3"])
-    def test_solve_without_radii_runs_uncertified(self, tmp_path, monkeypatch, radii):
+    def test_solve_radii_below_one_exit_2(self, tmp_path, monkeypatch, capsys, radii):
+        # refused by the parser, like any bad flag, before a run starts
         code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", "--measure",
                                            "centered", "--radii", radii])
-        assert code == 0
-        doc = json.loads((tmp_path / "solve_report.json").read_text())
-        note = f"unobtainable: number of radii must be >= 1, got {radii}"
-        assert doc["certificate"] == note
+        assert code == 2
+        assert (f"argument --radii: number of radii must be >= 1 and whole, got {radii!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "solve_report.json").exists()
 
 
 class TestCompare:
@@ -392,6 +398,22 @@ class TestEstimateOmega:
         code = run(tmp_path, monkeypatch, command + ["--radii", radii])
         assert code == 2
         assert "number of radii must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["estimate-omega", "poly2d"], "--samples", "0"),
+        (["estimate-omega", "poly2d"], "--samples", "2.5"),
+        (["certify", "poly2d", "--measure", "direct"], "--samples", "-1"),
+        (["solve", "poly2d"], "--samples", "2.5"),
+        (["solve", "poly2d"], "--max-iter", "0"),
+        (["solve", "poly2d"], "--max-iter", "1e3"),
+        (["estimate-omega", "poly2d"], "--radii", "2.5"),
+    ])
+    def test_count_flags_name_themselves(self, tmp_path, monkeypatch, capsys, argv, flag, value):
+        code = run(tmp_path, monkeypatch, argv + [flag, value])
+        assert code == 2
+        words = ("number of radii must be >= 1 and whole" if flag == "--radii"
+                 else "must be a whole number >= 1")
+        assert f"argument {flag}: {words}, got {value!r}" in capsys.readouterr().err
 
     def test_non_contractive_start_is_measured(self, tmp_path, monkeypatch):
         # nu = |2 b x0 - 1| = 2: direct mode measures it, only certify refuses

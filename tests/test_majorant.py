@@ -522,43 +522,34 @@ class TestRootIteration:
     """The safeguarded Newton root finder behind analyze."""
 
     @staticmethod
-    def _count_g(monkeypatch):
-        calls = [0]
+    def _analyze_counted(model):
+        """analyze(model) and the number of point evaluations it asked of the measure."""
+        measure = CountingMeasure(model.omega)
+        return analyze(MajorantModel(model.eta, model.R, measure)), measure.evaluations
 
-        def counted(model, v):
-            calls[0] += 1
-            return g(model, v)
-
-        monkeypatch.setattr(majorant, "g", counted)
-        return calls
-
-    def test_few_evaluations_per_analysis(self, monkeypatch):
+    def test_few_evaluations_per_analysis(self):
         rng = np.random.default_rng(31)
         models = [_hoelder(rng, rng.uniform(0.1, 1.3), rng.uniform(0.2, 3.0)) for _ in range(100)]
         models += [_tabulated(rng, int(rng.integers(16, 2001))) for _ in range(60)]
-        calls = self._count_g(monkeypatch)
-        for m in models:
-            analyze(m)
-        assert calls[0] / len(models) <= 15.0
+        calls = sum(self._analyze_counted(m)[1] for m in models)
+        assert calls / len(models) <= 15.0
 
     @pytest.mark.parametrize("k", range(3, 12))
-    def test_near_tangency_costs_no_more_than_bisection(self, monkeypatch, k):
+    def test_near_tangency_costs_no_more_than_bisection(self, k):
         # g is flat at its roots, so Newton converges slowly and rounding blurs
         # the sign of g over many ulps; halving both brackets took about 110
-        calls = self._count_g(monkeypatch)
         for l0, alpha, nu in [(1.0, 1.0, 0.0), (0.5, 0.5, 0.2), (3.0, 0.3, 0.5),
                               (0.1, 0.8, 0.0), (2.0, 0.65, 0.3)]:
             r_bar = ((1.0 - nu) / l0) ** (1.0 / alpha)
             eta_max = (1.0 - nu) * r_bar * (alpha / (1.0 + alpha))
             eta = eta_max * (1.0 - 10.0 ** -k)
             m = MajorantModel(eta, 10.0 * r_bar, HoelderOmega(l0, alpha, nu))
-            calls[0] = 0
-            roots = analyze(m)
+            roots, calls = self._analyze_counted(m)
             assert roots.nu_star < roots.gamma_star < roots.nu_star_star
-            assert calls[0] <= 110
+            assert calls <= 110
 
     @pytest.mark.parametrize("power", [8, 32])
-    def test_steep_measure_falls_back_to_bisection(self, monkeypatch, power):
+    def test_steep_measure_falls_back_to_bisection(self, power):
         # past its maximal root g grows like v^(power + 1), so each Newton step
         # from R covers only about 1/(power + 1) of the way; the safeguard
         # bisects instead (without it, 50 and 159 evaluations)
@@ -566,9 +557,8 @@ class TestRootIteration:
         omega = TabulatedOmega(tuple(zip(radii, 0.5 + (radii / 10.0) ** power)))
         m = MajorantModel(1.0, 1000.0, omega)
         ns, nss = _scanned_roots(_knot_g(m)[0], radii)
-        calls = self._count_g(monkeypatch)
-        roots = analyze(m)
-        assert calls[0] <= 40
+        roots, calls = self._analyze_counted(m)
+        assert calls <= 40
         assert roots.nu_star == pytest.approx(ns, rel=1e-12, abs=0.0)
         assert roots.nu_star_star == pytest.approx(nss, rel=1e-12, abs=0.0)
 

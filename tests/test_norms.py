@@ -1,5 +1,7 @@
 """Vector and induced matrix norms, one at a time and over stacks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def test_max_norm_in_place_equals_max_of_all_norms(kind):
         top = float(norms.max())
         for floor in (0.0, top * rng.random(), float(rng.choice(norms)), top, 1.5 * top + 1.0):
             assert max_norm(a, kind, floor) == max(floor, top)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_max_norm_in_place_is_not_finite_for_a_non_finite_stack(kind, bad):
+    # never the floor, and no SVD of a nan; 1e308 overflows every norm of the
+    # 2 x 2 matrix, not its entries
+    a = np.ones((3, 2, 2))
+    a[2] = bad
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(max_norm(a, kind, 5.0))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -48,6 +48,20 @@ class TestCatalog:
         with pytest.raises(BadParameters):
             build_fixture("poly2d", coupling=(0.0, 1.0))
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("scalar_quadratic", dict(b=1e308),
+         "scalar_quadratic: b=1e+308 overflows its measure's l0 = 2|b|"),
+        ("scalar_quadratic", dict(b=1e200, x0=1e200),
+         "scalar_quadratic: b=1e+200 with x0=1e+200 overflows its measure's nu = |2 b x0 - 1|"),
+        ("scalar_holder", dict(b=1e308, x0=4.0),
+         "scalar_holder: b=1e+308 with x0=4.0 and a=0.0 overflows "
+         "its measure's nu = |b |x0 - a|^alpha - 1|"),
+    ])
+    def test_overflowing_closed_form_names_its_parameters(self, name, params, message):
+        with pytest.raises(BadParameters) as info:
+            build_fixture(name, **params)
+        assert str(info.value) == message
+
 
 class TestStackContract:
     @pytest.mark.parametrize("norm", ["max", "one", "two"])

@@ -347,6 +347,39 @@ class TestEstimateOmega:
         with pytest.raises(EvaluationFailed, match=r"^jacobian returned non-finite values$"):
             estimate_omega(p, "direct", radii=[0.5])
 
+    @staticmethod
+    def _far_jacobian(norm, far):
+        """Slope [[1, -1], [1, 1]]; F' is I within max-distance 0.5 of x0 = (1, 1), far beyond."""
+        x0 = np.array([1.0, 1.0])
+
+        def jacobian(x):
+            near = np.abs(x - x0).max(axis=-1) <= 0.5
+            return np.where(near[:, None, None], np.eye(2), far)
+
+        return Problem(f=lambda x: x - 1.0, slope=np.array([[1.0, -1.0], [1.0, 1.0]]),
+                       x0=x0, R=2.0, jacobian=jacobian, norm=norm)
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("far", [1e308, np.nan, np.inf])
+    def test_non_finite_sample_raises(self, norm, far):
+        # 1e308: F' is finite, but a row of B F'(x) sums 1e308 + 1e308.  Every
+        # sample at radius 1 is far, after finite stacks at radius 0.25 have
+        # set the running max, so a nan must not meet the two norm's SVD.
+        message = (f"B F'(x) is not finite in the {norm} norm at radius 1.0" if far == 1e308
+                   else "jacobian returned non-finite values")
+        with pytest.raises(EvaluationFailed) as info:
+            estimate_omega(self._far_jacobian(norm, far), "direct", radii=[0.25, 1.0, 2.0],
+                           samples_per_radius=8)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_non_finite_start_product_raises(self, norm):
+        # B F'(x0) overflows while F'(x0) is finite: nu is not finite
+        problem = replace(self._far_jacobian(norm, 1e308), x0=np.array([9.0, 9.0]), R=0.5)
+        with pytest.raises(EvaluationFailed) as info:
+            estimate_omega(problem, "direct", radii=[0.5])
+        assert str(info.value) == f"B F'(x) is not finite in the {norm} norm at radius 0.0"
+
     def test_radii_validation(self):
         fx = build_fixture("scalar_quadratic")
         with pytest.raises(BadParameters):
