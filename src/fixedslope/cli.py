@@ -19,7 +19,12 @@ written), 2 invalid input, 3 runtime evaluation failure.
 main() may be called repeatedly in one process.  The argument parser is
 built on the first call and reused: it holds no per-call state (parse_args
 returns a fresh namespace, and help is sized when it is formatted).
-Nothing else is kept between calls.
+Nothing else is kept between calls.  A call that starts with a command
+name is parsed by that command's parser alone, which is what the top-level
+parser hands the rest of the line to; its leftover arguments are refused
+in the top-level parser's words.  Everything else (help, --version, no or
+an unknown command, options before the command) goes through the
+top-level parser.
 """
 
 import argparse
@@ -29,6 +34,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields
+from gettext import gettext
 
 import numpy as np
 
@@ -382,6 +388,7 @@ def _add_problem_arguments(sub, with_measure=True):
 
 @functools.cache
 def _build_parser():
+    """The top-level parser and its {command: subcommand parser} map."""
     parser = argparse.ArgumentParser(
         prog="fixedslope",
         description="Fixed slope iteration solver with a-priori convergence certificates.",
@@ -420,13 +427,30 @@ def _build_parser():
     lst = subs.add_parser("list-problems", help="show the bundled fixture catalog")
     lst.set_defaults(func=_cmd_list)
 
-    return parser
+    return parser, subs.choices
+
+
+def _parse(argv):
+    """parse_args of the top-level parser, with one parser pass for a leading command.
+
+    The top-level parser reads every argument as one of its own options
+    first, and refuses one that starts with "--=" as ambiguous between
+    --help and --version, so such a line goes to it.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None or any(a.startswith("--=") for a in argv):
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:  # argparse's own message, as the top-level parse_args gives it
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_BAD_INPUT if code else EXIT_OK

@@ -10,14 +10,16 @@ All three matrix norms are exact: "max" and "one" in closed form, the
 spectral norm as the largest singular value from LAPACK's SVD.  Each norm
 is defined once, over a stack of vectors or matrices; vector_norm and
 matrix_norm are the one-element cases.  The measure estimator's
-_max_norm_in_place gives the largest norm of a stack above a floor, equal
-bit for bit to the max of matrix_norms: for the spectral norm it bounds
-every matrix from above and below through its Gram matrix and decomposes
-only those whose upper bound can reach the max, so most of a stack never
-goes to the SVD.  It works in place, on a workspace the estimator reuses
-for every stack: |a| for "max" and "one" overwrites the stack, and the
-spectral bounds write their scaled copy, G and G^2 into two Gram
-buffers, so no reduction allocates a temporary the size of the stack.
+_max_norm_in_place reduces a stack made of equal segments, one per radius,
+to the running max of their norms above a floor, equal bit for bit to the
+running max of matrix_norms: for the spectral norm it bounds every matrix
+from above and below through its Gram matrix and decomposes, in one SVD
+call, only those whose upper bound can reach the running max of their
+segment, so most of a stack never goes to the SVD.  It works in place, on
+a workspace the estimator reuses for every stack: |a| for "max" and "one"
+overwrites the stack, and the spectral bounds write their scaled copy, G
+and G^2 into two Gram buffers, so no reduction allocates a temporary the
+size of the stack.
 """
 
 import numpy as np
@@ -58,7 +60,7 @@ def vector_norm(x, kind="max"):
 
 def _abs_norms(a, kind):
     """Induced "max" or "one" norms of a stack that already holds absolute values."""
-    return np.max(np.sum(a, axis=-1 if kind == "max" else -2), axis=-1)
+    return np.maximum.reduce(np.add.reduce(a, axis=-1 if kind == "max" else -2), axis=-1)
 
 
 def matrix_norms(a, kind="max"):
@@ -75,19 +77,24 @@ def matrix_norm(a, kind="max"):
     return float(matrix_norms(a, kind))
 
 
-def _spectral_candidates(a, peak, floor, grams):
-    """Mask of the matrices in a stack whose spectral norm can reach max(floor, the stack max).
+def _spectral_candidates(a, peak, floor, grams, size):
+    """Mask of the matrices whose spectral norm can reach the running max of their segment.
 
+    a is made of consecutive segments of size matrices, and the running max
+    of segment j is the max of floor and every norm in segments 0 to j.
     With G = a^T a, ||a||_2^4 = lambda_max(G^2), which lies between the
     Rayleigh quotient of G^2 at its largest column x, ||G x||^2 / ||x||^2,
-    and ||G^2||_F.  Each matrix is first scaled exactly, by the power of two
-    just above its largest entry (peak, finite), so that the bounds neither
-    overflow nor underflow.  Every matrix is kept when the threshold is inf
+    and ||G^2||_F.  So the running max of floor and the lower bounds is a
+    threshold below every segment's running max, and a matrix whose upper
+    bound stays under its segment's threshold by the margin never holds
+    it: the matrix with the largest lower bound so far is kept.  Each matrix
+    is first scaled exactly, by the power of two just above its largest
+    entry (peak, finite), so that the bounds neither overflow nor
+    underflow.  Every matrix of a segment is kept when its threshold is inf
     or below the normal floats, where the unscaled bounds could round by
     more than the margin.  a is only read: the scaled copy and G^2 go to
     grams[0], G to grams[1].
     """
-    keep = np.ones(len(a), dtype=bool)
     e = np.frexp(peak)[1]
     grams = grams[:, :len(a)]
     s = np.ldexp(a, -e[:, None, None], out=grams[0])
@@ -99,31 +106,37 @@ def _spectral_candidates(a, peak, floor, grams):
     xx = cols.max(axis=-1)
     quotient = np.vecdot(gx, gx) / np.where(xx > 0.0, xx, 1.0)  # x = 0 only for a = 0
     with np.errstate(over="ignore"):
-        upper = np.ldexp(cols.sum(axis=-1) ** 0.125, e)
-        threshold = max(floor, float(np.ldexp(quotient ** 0.25, e).max()))
-        if np.finfo(float).tiny <= threshold < np.inf:
-            keep = upper * (1.0 + _BOUND_MARGIN) > threshold
-    return keep
+        upper = np.ldexp(cols.sum(axis=-1) ** 0.125, e).reshape(-1, size)
+        lower = np.ldexp(quotient ** 0.25, e).reshape(-1, size).max(axis=-1)
+        threshold = np.maximum.accumulate(np.maximum(lower, floor))[:, None]
+        unsure = (threshold < np.finfo(float).tiny) | (threshold == np.inf)
+        return (unsure | (upper * (1.0 + _BOUND_MARGIN) > threshold)).ravel()
 
 
-def _max_norm_in_place(a, kind, floor, grams):
-    """max(floor, matrix_norms(a, kind).max()), bit for bit, of a float stack (S, n, n).
+def _max_norm_in_place(a, kind, floor, grams, size):
+    """Running max of floor and matrix_norms(a, kind), per segment, bit for bit.
 
-    A stack with an entry or a norm that is not finite gives nan or inf,
-    never floor: "two" tests the stack's largest |entry| before any SVD,
-    "max" and "one" the reduced norms, whose sums carry a nan or inf entry.
+    a is a float stack (S, n, n) of S / size consecutive segments of size
+    matrices; entry j of the result is the max of floor and every norm in
+    segments 0 to j.  A segment with an entry or a norm that is not finite
+    makes its entry and every later one nan or inf, never floor: "two"
+    tests each matrix's largest |entry| before any SVD and, if one is not
+    finite, returns the running max of those entries in place of norms;
+    "max" and "one" reduce norms whose sums carry the nan or inf entry.
     a may be overwritten: "max" and "one" replace a by |a| and reduce that,
     and ignore grams.
     "two" only reads a and writes its Gram matrices into grams, scratch of
     shape (2, k, n, n) with k >= S, so a workspace sized once serves every
-    stack.
+    stack.  Its matrices that survive the Gram screen of every segment go
+    to one SVD call.
     """
     if kind == "two":
-        peak = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
-        if not np.isfinite(peak).all():
-            return float(peak.max())
-        a = a[_spectral_candidates(a, peak, floor, grams)]
-        top = float(matrix_norms(a, kind).max(initial=-np.inf))
+        norms = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))  # the peaks
+        if np.isfinite(norms).all():
+            keep = _spectral_candidates(a, norms, floor, grams, size)
+            norms = np.full(len(a), -np.inf)
+            norms[keep] = matrix_norms(a[keep], kind)
     else:
-        top = float(_abs_norms(np.abs(a, out=a), kind).max(initial=-np.inf))
-    return floor if floor > top else top  # a nan top passes through
+        norms = _abs_norms(np.abs(a, out=a), kind)
+    # np.maximum and its running max pass a nan through
+    return np.maximum.accumulate(np.maximum(norms.reshape(-1, size).max(axis=-1), floor))

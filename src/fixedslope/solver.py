@@ -10,10 +10,11 @@ its own trust ball and its own stop: fsi_solve is its one-row case, and
 uniqueness_probe runs all its starts together as rows, each with trust
 radius rho + lambda_star (rho = the start's distance from x0).  F and B
 are each applied to all live rows at once.  The estimator's sphere
-directions and the probe's starts are each drawn as one stack per call.
-The estimator forms B F'(x), its shift and its norm for each stack of
-sampled Jacobians in one workspace allocated per call, so it never writes
-into an array the problem's jacobian returned.
+directions are drawn as one stack per radius and the probe's starts as
+one stack per call.  The estimator packs as many whole radii as fit into
+one stack of sampled Jacobians and forms B F'(x), its shift and the
+running max of its norms, radius by radius, in one workspace allocated per
+call, so it never writes into an array the problem's jacobian returned.
 
 A solve can carry a convergence certificate.  The trust region then
 shrinks to the certified ball: an iterate trying to leave it is a model
@@ -56,12 +57,13 @@ DEFAULT_SAMPLES = 64
 
 # The estimator applies B and the norm to stacks of sampled Jacobians of at
 # most this many floats (256 KiB, eight Jacobians at n = 64), so its memory
-# does not grow with the budget.  Each call writes every stack's B F'(x),
-# its shift and its |.| into one workspace of that size (plus two Gram
-# buffers for the spectral norm), allocated once.  Each stack is reduced
-# against the running max, so a matrix that cannot raise the knot is never
-# decomposed.  The uniqueness probe takes its pairwise differences in blocks
-# of the same size.
+# does not grow with the budget.  A stack holds as many whole radii as fit,
+# or part of one radius that does not fit alone.  Each call writes every
+# stack's B F'(x), its shift and its |.| into one workspace of that size
+# (plus two Gram buffers for the spectral norm), allocated once.  Each stack
+# is reduced once, every radius against the running max, so a matrix that
+# cannot raise its knot is never decomposed.  The uniqueness probe takes its
+# pairwise differences in blocks of the same size.
 _STACK_FLOATS = 2**15
 
 
@@ -105,10 +107,10 @@ class Problem:
         return self.x0.shape[0]
 
 
-def _whole(value, name):
+def _whole(value, name, words="must be a whole number >= 1"):
     """value as an int; BadParameters naming it unless it is a whole number >= 1."""
     if not (1 <= value < math.inf and value == math.floor(value)):
-        raise BadParameters(f"{name} must be a whole number >= 1, got {value!r}")
+        raise BadParameters(f"{name} {words}, got {value!r}")
     return int(value)
 
 
@@ -366,6 +368,9 @@ def _unit_directions(problem, k, rng):
     return d / vector_norms(d, problem.norm)[:, None]
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _sphere_points(problem, radius, samples, rng):
     """Points on the sphere of the problem norm around x0, as a (k, n) stack.
 
@@ -382,7 +387,8 @@ def _sphere_points(problem, radius, samples, rng):
     if problem.norm == "one":
         extreme = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     elif problem.norm == "max":
-        extreme = rng.choice([-1.0, 1.0], size=((samples + 1) // 2, n))
+        # the draws and the stream of rng.choice([-1.0, 1.0], size), at half its cost
+        extreme = _SIGNS[rng.integers(0, 2, size=((samples + 1) // 2, n))]
     else:
         extreme = np.empty((0, n))
     gaussian = _unit_directions(problem, max(0, samples - len(extreme)), rng)
@@ -413,41 +419,50 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
     samples = _whole(samples_per_radius, "samples_per_radius")
 
     n, norm = problem.dim, problem.norm
-    eye = np.eye(n)
     # B F'(x) and its norms may overflow or hold nan: _finite_norm raises for them
     jac = _jacobians(problem, problem.x0[None])
     with np.errstate(over="ignore", invalid="ignore"):
         start = problem.slope @ jac[0]
         # a non-finite matrix never reaches the SVD of the two norm
-        nu = matrix_norm(start - eye, norm) if np.isfinite(start).all() else math.nan
-    nu = _finite_norm(nu, jac, 0.0, norm)
-    # direct: the running max starts at nu; centered: nu lifts each knot after the max
-    running, shift, lift = (nu, eye, 0.0) if mode == MODE_DIRECT else (0.0, start, nu)
+        nu = matrix_norm(start - np.eye(n), norm) if np.isfinite(start).all() else math.nan
+        nu = _finite_norm(nu, jac, 0.0, norm)
+        # direct: the running max starts at nu; centered: nu lifts each knot after the max
+        running, lift = (nu, 0.0) if mode == MODE_DIRECT else (0.0, nu)
 
-    chunk = max(1, _STACK_FLOATS // n**2)
-    rng = np.random.default_rng(seed)
-    knots = [(0.0, nu)]
-    work = None
-    for radius in radii:
-        points = _sphere_points(problem, radius, samples, rng)
-        if work is None:  # every radius draws the same number of points
-            work = np.empty((min(len(points), chunk), n, n))
-            grams = np.empty((2,) + work.shape) if norm == "two" else None
-        for lo in range(0, len(points), chunk):
-            x = points[lo:lo + chunk]
-            jac = _jacobians(problem, x)
-            with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng(seed)
+        drawn = [_sphere_points(problem, radii[0], samples, rng)]
+        count = len(drawn[0])  # every radius draws this many points
+        chunk = max(1, _STACK_FLOATS // n**2)
+        per = max(1, chunk // count)  # whole radii per stack, or one radius in parts
+        work = np.empty((min(chunk, count * min(per, len(radii))), n, n))
+        diagonal = work.reshape(len(work), n * n)[:, ::n + 1]
+        grams = np.empty((2,) + work.shape) if norm == "two" else None
+        knots = [(0.0, nu)] + [None] * len(radii)
+        for lo in range(0, len(radii), per):
+            group = radii[lo:lo + per]
+            # each radius's points are drawn in order, one stack's worth at a time
+            drawn += [_sphere_points(problem, r, samples, rng) for r in group[len(drawn):]]
+            points = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+            drawn = []
+            for at in range(0, len(points), chunk):
+                x = points[at:at + chunk]
+                jac = _jacobians(problem, x)
                 stack = np.matmul(problem.slope, jac, out=work[:len(x)])
-                stack -= shift
-                top = _max_norm_in_place(stack, norm, running, grams)
-            running = _finite_norm(top, jac, radius, norm)
-        knots.append((radius, running + lift))
+                if mode == MODE_DIRECT:
+                    diagonal[:len(x)] -= 1.0
+                else:
+                    stack -= start
+                size = min(count, len(x))  # one segment per radius
+                tops = _max_norm_in_place(stack, norm, running, grams, size).tolist()
+                for i, top in enumerate(tops):
+                    running = _finite_norm(top, jac[i * size:(i + 1) * size], group[i], norm)
+                    knots[lo + i + 1] = (group[i], running + lift)
     return TabulatedOmega(tuple(knots))
 
 
 def default_radii(R, num=DEFAULT_NUM_RADII):
-    if num < 1:
-        raise BadParameters(f"number of radii must be >= 1, got {num}")
+    """num radii spaced evenly up to R; num must be a whole number >= 1."""
+    num = _whole(num, "number of radii", "must be >= 1 and whole")
     return list(np.linspace(R / num, R, num))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
-from fixedslope import __version__
+from fixedslope import __version__, cli
 from fixedslope.cli import _build_parser, certificate_to_doc, main, read_certificate
 from fixedslope.comparison import ConditionReport
 from fixedslope.majorant import HoelderOmega, MajorantModel
@@ -514,6 +514,30 @@ class TestRepeatedCalls:
 
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--version"], ["-h"], ["bogus"], ["--"], ["--norm", "max", "certify", "poly2d"],
+        ["certify"], ["certify", "--help"], ["certify", "poly2d"],
+        ["certify", "poly2d", "--bogus"], ["certify", "poly2d", "--version"],
+        ["certify", "--", "poly2d"], ["certify", "poly2d", "--=x"],
+        ["solve", "poly2d", "--no"], ["solve", "poly2d", "--", "--x"],
+        ["estimate-omega", "poly2d", "--radii", "2.5"], ["list-problems", "x"],
+        ["compare", "l0=1", "eta=0.1"],
+    ])
+    def test_command_parser_answers_as_the_top_level_parser(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        # a leading command is parsed by its own parser; exit code, output,
+        # messages and documents are those of a parse by the top-level parser
+        def outcome(path):
+            path.mkdir()
+            code = run(path, monkeypatch, argv)
+            out, err = capsys.readouterr()
+            docs = {p.name: p.read_bytes() for p in path.iterdir()}
+            return code, out, err, docs
+
+        own = outcome(tmp_path / "own")
+        monkeypatch.setattr(cli, "_parse", lambda a: _build_parser()[0].parse_args(a))
+        assert own == outcome(tmp_path / "top")
 
     def test_flag_does_not_stick(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["solve", "scalar_quadratic", "--no-certificate"]) == 0

@@ -1,5 +1,6 @@
 """Vector and induced matrix norms, one at a time and over stacks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -76,10 +77,14 @@ def fuzzed_stacks(rng, count):
         yield a
 
 
-def max_norm(a, kind, floor=0.0):
-    """The estimator's _max_norm_in_place, run on a copy of a with a Gram buffer of its shape."""
+def max_norm(a, kind, floor=0.0, size=None):
+    """The estimator's _max_norm_in_place, run on a copy of a with a Gram buffer of its shape.
+
+    One segment of the whole stack gives a float, segments of size matrices a list.
+    """
     a = np.array(a, dtype=float)
-    return _max_norm_in_place(a, kind, floor, np.empty((2,) + a.shape))
+    tops = _max_norm_in_place(a, kind, floor, np.empty((2,) + a.shape), size or len(a))
+    return float(tops[0]) if size is None else tops.tolist()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -92,6 +97,32 @@ def test_max_norm_in_place_equals_max_of_all_norms(kind):
         top = float(norms.max())
         for floor in (0.0, top * rng.random(), float(rng.choice(norms)), top, 1.5 * top + 1.0):
             assert max_norm(a, kind, floor) == max(floor, top)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_norm_in_place_running_max_over_segments(kind):
+    # each segment's entry is the max of the floor and every norm so far, so
+    # a segment below the running max repeats it; the Gram screen of a later
+    # segment runs against the lower bounds of the earlier ones
+    rng = np.random.default_rng(43)
+    for a in fuzzed_stacks(rng, 240):
+        segments = int(rng.integers(1, 5))
+        a = np.concatenate([a * rng.uniform(0.25, 4.0) for _ in range(segments)])
+        norms = matrix_norms(a, kind).reshape(segments, -1).max(axis=-1)
+        for floor in (0.0, float(rng.choice(norms)), 1.5 * float(norms.max()) + 1.0):
+            expected = list(itertools.accumulate(norms.tolist(), max, initial=floor))[1:]
+            assert max_norm(a, kind, floor, len(a) // segments) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("segment", [0, 1, 2])
+def test_max_norm_in_place_non_finite_from_its_segment_on(kind, segment):
+    a = np.ones((6, 2, 2))
+    a[2 * segment + 1] = math.nan
+    tops = max_norm(a, kind, 1.0, 2)
+    assert not any(math.isfinite(t) for t in tops[segment:])
+    if kind != "two":  # "two" returns before any norm
+        assert tops[:segment] == [2.0] * segment
 
 
 @pytest.mark.parametrize("kind", KINDS)

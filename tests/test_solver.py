@@ -348,29 +348,42 @@ class TestEstimateOmega:
             estimate_omega(p, "direct", radii=[0.5])
 
     @staticmethod
-    def _far_jacobian(norm, far):
-        """Slope [[1, -1], [1, 1]]; F' is I within max-distance 0.5 of x0 = (1, 1), far beyond."""
+    def _far_jacobian(norm, far, farther=None, rows=None):
+        """Slope [[1, -1], [1, 1]]; F' is I within max-distance 0.5 of x0 = (1, 1).
+
+        F' is far up to max-distance 1.25 and farther (default far) beyond.
+        Each call's row count is appended to rows, if given.
+        """
         x0 = np.array([1.0, 1.0])
+        farther = far if farther is None else farther
 
         def jacobian(x):
-            near = np.abs(x - x0).max(axis=-1) <= 0.5
-            return np.where(near[:, None, None], np.eye(2), far)
+            if rows is not None:
+                rows.append(len(x))
+            d = np.abs(x - x0).max(axis=-1)[:, None, None]
+            return np.where(d <= 0.5, np.eye(2), np.where(d <= 1.25, far, farther))
 
         return Problem(f=lambda x: x - 1.0, slope=np.array([[1.0, -1.0], [1.0, 1.0]]),
                        x0=x0, R=2.0, jacobian=jacobian, norm=norm)
 
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
-    @pytest.mark.parametrize("far", [1e308, np.nan, np.inf])
-    def test_non_finite_sample_raises(self, norm, far):
+    @pytest.mark.parametrize("far, farther", [
+        (1e308, None), (np.nan, None), (np.inf, None), (1e308, np.nan), (np.nan, 1e308)])
+    def test_non_finite_sample_raises(self, norm, far, farther):
         # 1e308: F' is finite, but a row of B F'(x) sums 1e308 + 1e308.  Every
-        # sample at radius 1 is far, after finite stacks at radius 0.25 have
-        # set the running max, so a nan must not meet the two norm's SVD.
+        # sample at radius 1 is far, after the finite radius 0.25 has set the
+        # running max, so a nan must not meet the two norm's SVD.  All three
+        # radii share one stack; the first bad radius is named, and only its
+        # rows are searched for non-finite F', so a nan at radius 2 (farther,
+        # at least its axis points) does not hide an overflow at radius 1.
         message = (f"B F'(x) is not finite in the {norm} norm at radius 1.0" if far == 1e308
                    else "jacobian returned non-finite values")
+        rows = []
         with pytest.raises(EvaluationFailed) as info:
-            estimate_omega(self._far_jacobian(norm, far), "direct", radii=[0.25, 1.0, 2.0],
-                           samples_per_radius=8)
+            estimate_omega(self._far_jacobian(norm, far, farther, rows), "direct",
+                           radii=[0.25, 1.0, 2.0], samples_per_radius=8)
         assert str(info.value) == message
+        assert rows == [1, 24]
 
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     def test_non_finite_start_product_raises(self, norm):
@@ -507,8 +520,36 @@ class TestEstimateOmega:
             assert points.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 5), (32, 8), (7, 57)])
+    def test_max_norm_corners_draw_as_rng_choice(self, shape):
+        # the corners take rng.choice's draws and leave its stream where it would
+        k, n = shape
+        problem = build_fixture("chandrasekhar", n=n, norm="max").problem
+        for seed in range(50):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            corners = old.choice([-1.0, 1.0], size=shape)
+            points = _sphere_points(problem, 0.5, 2 * k - 1, new)
+            assert points[:k].tobytes() == (problem.x0 + 0.5 * corners).tobytes()
+            old.standard_normal((k - 1, n))  # the Gaussian directions after the corners
+            assert old.random() == new.random()
+
+
+@pytest.mark.parametrize("num, count", [(1, 1), (3, 3), (3.0, 3), (np.int64(4), 4)])
+def test_default_radii_whole_count(num, count):
+    radii = default_radii(2.0, num)
+    assert len(radii) == count and radii[-1] == 2.0
+    assert radii == default_radii(2.0, count)
+
+
+@pytest.mark.parametrize("num", [2.5, math.nan, math.inf, -math.inf, 0, -3])
+def test_default_radii_refuses_other_counts(num):
+    with pytest.raises(BadParameters,
+                       match=rf"^number of radii must be >= 1 and whole, got {num!r}$"):
+        default_radii(2.0, num)
+
+
 def fresh_array_omega(problem, mode, radii, samples, seed):
-    """Knots of estimate_omega from fresh arrays per stack and every matrix's own norm."""
+    """Knots of estimate_omega radius by radius, from fresh arrays and every matrix's own norm."""
     eye = np.eye(problem.dim)
     bj0 = problem.slope @ problem.jacobian(problem.x0[None])[0]
     nu = matrix_norm(bj0 - eye, problem.norm)
@@ -527,18 +568,28 @@ def fresh_array_omega(problem, mode, radii, samples, seed):
 
 
 class TestEstimatorWorkspace:
+    @pytest.mark.parametrize("num_radii, samples", [(1, 1), (3, 4), (6, 12), (24, 64)])
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     @pytest.mark.parametrize("name, params", [
-        ("chandrasekhar", {"n": 57}),  # 10 Jacobians a stack: a partial last stack
-        ("chandrasekhar", {"n": 15}),  # every radius in one stack
+        ("chandrasekhar", {"n": 2}),
+        ("chandrasekhar", {"n": 8}),
+        ("chandrasekhar", {"n": 14}),  # 167 Jacobians a stack: whole radii leave part of it empty
+        ("chandrasekhar", {"n": 15}),
+        ("chandrasekhar", {"n": 29}),  # 38 a stack: 64 samples span two stacks
+        ("chandrasekhar", {"n": 57}),  # 10 a stack: a partial last stack per radius
         ("poly2d", {}),
+        ("scalar_quadratic", {}),
+        ("scalar_holder", {}),
     ])
-    def test_knots_equal_fresh_arrays_per_stack(self, name, params, norm, mode):
+    def test_knots_equal_fresh_arrays_per_stack(self, name, params, norm, mode,
+                                                num_radii, samples):
         problem = build_fixture(name, norm=norm, **params).problem
-        radii = default_radii(problem.R, 8)
-        om = estimate_omega(problem, mode, radii=radii, samples_per_radius=16, seed=3)
-        assert om.knots == fresh_array_omega(problem, mode, radii, 16, 3)
+        radii = default_radii(problem.R, num_radii)
+        for seed in range(3):
+            om = estimate_omega(problem, mode, radii=radii, samples_per_radius=samples,
+                                seed=seed)
+            assert om.knots == fresh_array_omega(problem, mode, radii, samples, seed)
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
@@ -602,7 +653,7 @@ class TestEstimateMajorant:
         counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
         cert = certify(estimate_majorant(counted, mode=mode, radii=[5.0, 10.0]))
         assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
-        assert rows == [1, 2, 2]  # the start once, then the two-point spheres
+        assert rows == [1, 4]  # the start once, then both two-point spheres in one stack
 
     @pytest.mark.parametrize("estimate", [estimate_omega, estimate_majorant])
     @pytest.mark.parametrize("mode", ["direct", "centered"])
@@ -611,7 +662,7 @@ class TestEstimateMajorant:
         rows = []
         counted = replace(problem, jacobian=lambda x: rows.append(len(x)) or problem.jacobian(x))
         estimate(counted, mode=mode, radii=[1.0, 2.0], samples_per_radius=4)
-        assert rows == [1, 4, 4]
+        assert rows == [1, 8]  # the start, then both radii in one stack
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     def test_radii_short_of_R_refused_before_sampling(self, mode):
