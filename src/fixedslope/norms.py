@@ -9,7 +9,10 @@ Three choices are supported everywhere in the package:
 All three matrix norms are exact: "max" and "one" in closed form, the
 spectral norm as the largest singular value from LAPACK's SVD.  Each norm
 is defined once, over a stack of vectors or matrices; vector_norm and
-matrix_norm are the one-element cases.  The measure estimator's
+matrix_norm are the one-element cases.  The vector norms live in one
+private row-norm table, _ROW_NORMS: vector_norms checks the kind and
+dispatches through it, and the iteration kernel resolves its norm there
+once per call, so no step pays the kind check.  The measure estimator's
 _max_norm_in_place reduces a stack made of equal segments, one per radius,
 to the running max of their norms above a floor, equal bit for bit to the
 running max of matrix_norms: for the spectral norm it bounds every matrix
@@ -41,17 +44,21 @@ def _check_kind(kind):
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
+# Each vector norm over the last axis of a float array, written once.  Ufunc
+# reductions skip np.max's Python-level dispatch, which costs more than the
+# reduction on the one-row stacks of fsi_solve; the iteration kernel looks
+# its norm up here once per call instead of going through vector_norms.
+_ROW_NORMS = {
+    "max": lambda a: np.maximum.reduce(np.abs(a), -1),
+    "one": lambda a: np.add.reduce(np.abs(a), -1),
+    "two": lambda a: np.sqrt(np.vecdot(a, a)),
+}
+
+
 def vector_norms(x, kind="max"):
     """Norms over the last axis: a stack (S, n) gives (S,), a vector (n,) a scalar."""
     _check_kind(kind)
-    x = np.asarray(x, dtype=float)
-    # ndarray methods skip np.max's Python-level dispatch, which costs more
-    # than the reduction on the one-row stacks of fsi_solve.
-    if kind == "max":
-        return np.abs(x).max(axis=-1)
-    if kind == "one":
-        return np.abs(x).sum(axis=-1)
-    return np.sqrt(np.vecdot(x, x))
+    return _ROW_NORMS[kind](np.asarray(x, dtype=float))
 
 
 def vector_norm(x, kind="max"):

@@ -9,6 +9,9 @@ certificates, traces and the measure estimator checkable against
 hand-computable values.
 
 Operators act on the last axis, so they take a point or a stack alike.
+They run once per iteration step, so they keep their coefficients as
+Python floats (a numpy scalar operand costs more per call and gives the
+same bits) and write their components into one output array.
 Fixture builders may invert a small dense matrix to construct the slope
 (the classic choice B = F'(x0)^{-1}); the solver never inverts anything.
 """
@@ -79,6 +82,33 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
 
+# Python's float power, element by element: numpy's SIMD power can differ
+# from it in the last bit, and only on some CPUs.
+_POW = np.frompyfunc(operator.pow, 2, 1)
+
+
+def _pow_or_inf(base, exponent):
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+_POW_OR_INF = np.frompyfunc(_pow_or_inf, 2, 1)
+
+
+def _float_power(base, exponent):
+    """Python's float base ** exponent for every entry of base >= 0, inf where it overflows.
+
+    Python raises OverflowError where numpy returns inf, so a stack with
+    an overflowing entry is redone element by element, with inf there.
+    """
+    try:
+        return np.asarray(_POW(base, exponent), dtype=float)
+    except OverflowError:
+        return np.asarray(_POW_OR_INF(base, exponent), dtype=float)
+
+
 def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
     """F(x) = sign(x-a) |x-a|^(1+alpha) / (1+alpha) + c with slope b.
 
@@ -95,17 +125,14 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
     d = abs(x0 - a)
     if d == 0.0:
         raise BadParameters("x0 = a makes F'(x0) = 0 and the map non-contractive")
-    # Python's float power, element by element: numpy's SIMD power can differ
-    # from it in the last bit, and only on some CPUs.
-    power = np.vectorize(operator.pow, otypes=[float])
 
     def f(x):
         t = x - a
-        return np.copysign(power(np.abs(t), 1.0 + alpha), t) / (1.0 + alpha) + c
+        return np.copysign(_float_power(np.abs(t), 1.0 + alpha), t) / (1.0 + alpha) + c
 
     problem = Problem(
         f=f,
-        jacobian=lambda x: power(np.abs(x - a), alpha)[..., None],
+        jacobian=lambda x: _float_power(np.abs(x - a), alpha)[..., None],
         slope=np.array([[b]]),
         x0=np.array([x0]),
         R=R,
@@ -151,22 +178,22 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
     if coupling[0] == 0.0 or coupling[1] == 0.0:
         raise BadParameters("coupling terms must be nonzero to keep the Jacobian dense")
 
-    c = np.array([
-        root[0] * root[0] + lin[0] * root[0] + coupling[0] * root[1],
-        coupling[1] * root[0] + root[1] * root[1] + lin[1] * root[1],
-    ])
+    (r0, r1), (l0, l1), (k0, k1) = root.tolist(), lin.tolist(), coupling.tolist()
+    c0 = r0 * r0 + l0 * r0 + k0 * r1
+    c1 = k1 * r0 + r1 * r1 + l1 * r1
 
     def f(x):
         u, v = x[..., 0], x[..., 1]
-        return np.stack([
-            u * u + lin[0] * u + coupling[0] * v - c[0],
-            coupling[1] * u + v * v + lin[1] * v - c[1],
-        ], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = u * u + l0 * u + k0 * v - c0
+        out[..., 1] = k1 * u + v * v + l1 * v - c1
+        return out
 
-    constant = np.array([[lin[0], coupling[0]], [coupling[1], lin[1]]])
+    constant = np.array([[l0, k0], [k1, l1]])
+    eye = np.eye(2)
 
     def jac(x):
-        return constant + 2.0 * x[..., None, :] * np.eye(2)
+        return constant + 2.0 * x[..., None, :] * eye
 
     slope = np.linalg.inv(jac(x0))
     problem = Problem(f=f, jacobian=jac, slope=slope, x0=x0, R=R, norm=norm)

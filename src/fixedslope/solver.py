@@ -9,7 +9,10 @@ One private kernel runs the iteration on a stack of starts, each row with
 its own trust ball and its own stop: fsi_solve is its one-row case, and
 uniqueness_probe runs all its starts together as rows, each with trust
 radius rho + lambda_star (rho = the start's distance from x0).  F and B
-are each applied to all live rows at once.  The estimator's sphere
+are each applied to all live rows at once.  The kernel resolves its norm
+once per call, and reads finiteness from the residual norms it needs
+anyway: a nan or inf entry makes its row's norm nan or inf, so only then
+are the residuals scanned, row by row.  The estimator's sphere
 directions are drawn as one stack per radius and the probe's starts as
 one stack per call.  The estimator packs as many whole radii as fit into
 one stack of sampled Jacobians and forms B F'(x), its shift and the
@@ -34,7 +37,8 @@ import numpy as np
 from . import majorant
 from .errors import BadParameters, EvaluationFailed, JacobianMissing, NotCertifiedError
 from .majorant import MajorantModel, TabulatedOmega
-from .norms import NORM_KINDS, _max_norm_in_place, matrix_norm, vector_norm, vector_norms
+from .norms import (NORM_KINDS, _ROW_NORMS, _max_norm_in_place, matrix_norm, vector_norm,
+                    vector_norms)
 
 STOP_STEP_TOL = "step_tol"
 STOP_RESIDUAL_TOL = "residual_tol"
@@ -163,12 +167,15 @@ def _evaluate(fn, x, shape, what):
     return y
 
 
-def _eval_rows(problem, x):
-    """F at every row of x, and {row: EvaluationFailed} for the rows where it failed.
+def _eval_rows(problem, x, row_norm):
+    """F at every row of x, its row_norm, and {row: EvaluationFailed} for the failed rows.
 
     F is called once on the whole stack.  Only if that call fails is every
     row evaluated alone, so that each failing row keeps its own message; a
-    failed row holds zeros.  Non-finite rows are flagged one by one.
+    failed row holds zeros.  A row with a nan or inf entry has a nan or inf
+    norm, so the rows are searched for non-finite entries, and flagged one
+    by one, only when the largest norm is not finite.  A finite row whose
+    norm overflows is searched but not flagged.
     """
     failed = {}
     try:
@@ -180,10 +187,11 @@ def _eval_rows(problem, x):
                 r[i] = _evaluate(problem.f, x[i:i + 1], (1, problem.dim), "operator")[0]
             except EvaluationFailed as exc:
                 failed[i] = exc
-    if not np.isfinite(r).all():
+    rn = row_norm(r)
+    if not np.maximum.reduce(rn) < math.inf:  # nan compares false too
         for i in np.flatnonzero(~np.isfinite(r).all(axis=-1)):
             failed[int(i)] = EvaluationFailed(_NON_FINITE)
-    return r, failed
+    return r, rn, failed
 
 
 def _jacobians(problem, x):
@@ -215,30 +223,35 @@ def _iterate(problem, starts, balls, stop, trace=None):
     on its own.  At each iterate the rules win in this order: a failed F
     evaluation, step_tol, residual_tol, max_iter; then left_ball, judged
     on the step from it (the iterate that would leave is not taken).  B
-    is applied to all live rows with one stacked mat-vec, each norm is
-    one batched call per step, and rows are dropped only on steps where
-    some row stops.  Returns (limits, reasons, failures): each row's last
-    iterate, its stop reason, and {row: EvaluationFailed} for the rows
-    whose evaluation failed (their reason stays None).  A trace gets the
-    iterates and norms of row 0, which is meant for a single row.
+    is applied to all live rows with one stacked mat-vec and the norm,
+    resolved once per call, is one batched reduction per use.  Each step
+    tests the smallest step and residual norms first; the stop masks and
+    reasons are built, and rows dropped, only on steps where some row
+    stops.  A non-finite residual is read from its norm (see _eval_rows).
+    Returns (limits, reasons, failures): each row's last iterate, its stop
+    reason, and {row: EvaluationFailed} for the rows whose evaluation
+    failed (their reason stays None).  A trace gets the iterates and norms
+    of row 0, which is meant for a single row.
     """
-    norm, slope = problem.norm, problem.slope
+    row_norm, slope = _ROW_NORMS[problem.norm], problem.slope
+    tol_step, tol_residual = stop.tol_step, stop.tol_residual
     limits = np.empty_like(starts)
     reasons = [None] * len(starts)
     failures = {}
     rows = np.arange(len(starts))
     x, centers, reach = starts, starts, balls + _SLACK
-    r, failed = _eval_rows(problem, x)
-    rn = vector_norms(r, norm)
+    r, rn, failed = _eval_rows(problem, x, row_norm)
     sn = np.full(len(starts), np.inf)
     if trace is not None:
         trace.iterates.append(x[0])
         trace.residual_norms.append(float(rn[0]))
     steps = 0
     while True:
-        step_done = sn <= stop.tol_step
-        done = step_done | (rn <= stop.tol_residual)
-        if failed or np.count_nonzero(done):
+        # fmin skips a nan norm, so a row that stops is never hidden by another's nan
+        if (failed or np.fmin.reduce(sn) <= tol_step
+                or np.fmin.reduce(rn) <= tol_residual):
+            step_done = sn <= tol_step
+            done = step_done | (rn <= tol_residual)
             for i, exc in failed.items():
                 failures[int(rows[i])] = exc
                 done[i] = False
@@ -257,8 +270,8 @@ def _iterate(problem, starts, balls, stop, trace=None):
                 reasons[i] = STOP_MAX_ITER
             break
         x_next = x - np.matmul(slope, r[..., None])[..., 0]
-        sn = vector_norms(x_next - x, norm)
-        left = vector_norms(x_next - centers, norm) > reach
+        sn = row_norm(x_next - x)
+        left = row_norm(x_next - centers) > reach
         if np.count_nonzero(left):
             limits[rows[left]] = x[left]
             for i in rows[left]:
@@ -269,8 +282,7 @@ def _iterate(problem, starts, balls, stop, trace=None):
             if not rows.size:
                 break
         x = x_next
-        r, failed = _eval_rows(problem, x)
-        rn = vector_norms(r, norm)
+        r, rn, failed = _eval_rows(problem, x, row_norm)
         steps += 1
         if trace is not None:
             trace.iterates.append(x[0])
@@ -457,6 +469,8 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
                 for i, top in enumerate(tops):
                     running = _finite_norm(top, jac[i * size:(i + 1) * size], group[i], norm)
                     knots[lo + i + 1] = (group[i], running + lift)
+                # free this stack's Jacobians before the next call allocates its own
+                del jac, stack
     return TabulatedOmega(tuple(knots))
 
 
@@ -472,7 +486,7 @@ def eta_at_start(problem):
     eta = 0 is refused with BadParameters: x0 already solves the problem,
     so there is no ball to certify.
     """
-    r, failed = _eval_rows(problem, problem.x0[None])
+    r, _, failed = _eval_rows(problem, problem.x0[None], _ROW_NORMS[problem.norm])
     if failed:
         raise failed[0]
     eta = vector_norm(problem.slope @ r[0], problem.norm)
@@ -533,13 +547,16 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
     distance from x0): the certified theory confines its iterates to the
     lambda_star ball around the original x0, so a trust-ball exit again
     signals a wrong model and is reported as a per-start failure rather
-    than raised, as is a failed evaluation.
+    than raised, as is a failed evaluation.  tol must be finite and >= 0;
+    it is checked, like num_starts, before any start runs.
     """
     if not cert.certified:
         raise NotCertifiedError("uniqueness probe needs a certified certificate")
     if cert.lambda_star > problem.R + _SLACK:
         raise BadParameters("uniqueness radius exceeds the problem trust radius")
     num_starts = _whole(num_starts, "num_starts")
+    if not 0.0 <= tol < math.inf:
+        raise BadParameters(f"tol must be finite and >= 0, got {tol!r}")
 
     starts = _probe_starts(problem, cert.lambda_star, num_starts, seed)
     balls = vector_norms(starts - problem.x0, problem.norm) + cert.lambda_star

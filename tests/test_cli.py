@@ -148,6 +148,13 @@ class TestCertify:
         assert capsys.readouterr().err == "error: operator returned non-finite values\n"
         assert not (tmp_path / "certificate.json").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_overflowing_power_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        # Python's float power overflows at x0 = 1e300: a non-finite F, not a raised errno
+        assert run(tmp_path, monkeypatch, [command, "scalar_holder", "x0=1e300"]) == 3
+        assert capsys.readouterr().err == "error: operator returned non-finite values\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("warnings", ["default", "error"])
     def test_evaluation_failure_ignores_the_warnings_filter(self, tmp_path, warnings):
         env = dict(os.environ)

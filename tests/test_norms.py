@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fixedslope.norms import (
+    _ROW_NORMS,
     _max_norm_in_place,
     matrix_norm,
     matrix_norms,
@@ -42,6 +43,17 @@ def test_stacks_equal_one_at_a_time(kind):
     vecs = rng.standard_normal((9, 13))
     assert list(matrix_norms(mats, kind)) == [matrix_norm(m, kind) for m in mats]
     assert list(vector_norms(vecs, kind)) == [vector_norm(v, kind) for v in vecs]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_vector_norms_go_through_the_row_norm_table(kind):
+    x = np.random.default_rng(8).standard_normal((6, 11))
+    row = _ROW_NORMS[kind]
+    assert vector_norms(x, kind).tobytes() == row(x).tobytes()
+    assert vector_norms(x[2], kind).tobytes() == row(x[2]).tobytes()
+    reference = {"max": np.abs(x).max(axis=-1), "one": np.abs(x).sum(axis=-1),
+                 "two": np.sqrt(np.vecdot(x, x))}[kind]
+    assert row(x).tobytes() == reference.tobytes()
 
 
 def test_unknown_kind():

@@ -80,6 +80,44 @@ class TestStackContract:
                 assert rows.tobytes() == stacked.tobytes()
 
 
+class TestOperatorFormulas:
+    """The bundled operators equal their textbook expressions bit for bit."""
+
+    def test_poly2d(self):
+        (r0, r1), (l0, l1), (k0, k1) = (0.9, 1.2), (2.5, 3.5), (0.7, -1.3)
+        problem = build_fixture("poly2d", root=(r0, r1), lin=(l0, l1),
+                                coupling=(k0, k1)).problem
+        c0, c1 = r0 * r0 + l0 * r0 + k0 * r1, k1 * r0 + r1 * r1 + l1 * r1
+        x = 1.0 + np.random.default_rng(11).standard_normal((7, 2))
+        f = [[u * u + l0 * u + k0 * v - c0, k1 * u + v * v + l1 * v - c1]
+             for u, v in x.tolist()]
+        jac = [[[2.0 * u + l0, k0], [k1, 2.0 * v + l1]] for u, v in x.tolist()]
+        assert problem.f(x).tobytes() == np.array(f).tobytes()
+        assert problem.jacobian(x).tobytes() == np.array(jac).tobytes()
+        for i, point in enumerate(x):
+            assert problem.f(point[None]).tobytes() == np.array(f[i:i + 1]).tobytes()
+            assert problem.jacobian(point[None]).tobytes() == np.array(jac[i:i + 1]).tobytes()
+
+    def test_scalar_holder_is_python_float_power(self):
+        a, alpha, c = 0.3, 0.37, -0.2
+        problem = build_fixture("scalar_holder", a=a, alpha=alpha, c=c, x0=1.5).problem
+        x = np.random.default_rng(12).uniform(-2.0, 2.0, (17, 1))
+        t = [u - a for u in x.ravel().tolist()]
+        f = [math.copysign(float.__pow__(abs(d), 1.0 + alpha), d) / (1.0 + alpha) + c for d in t]
+        jac = [float.__pow__(abs(d), alpha) for d in t]
+        assert problem.f(x).tobytes() == np.array(f).reshape(17, 1).tobytes()
+        assert problem.jacobian(x).tobytes() == np.array(jac).reshape(17, 1, 1).tobytes()
+
+    def test_scalar_holder_overflow_is_inf(self):
+        # Python's float power raises OverflowError; the entry reads inf instead
+        problem = build_fixture("scalar_holder").problem
+        x = np.array([[1e300], [-1e300], [0.5]])
+        with np.errstate(over="ignore"):
+            f = problem.f(x)
+        assert f[:2, 0].tolist() == [math.inf, -math.inf]
+        assert f[2:].tobytes() == problem.f(x[2:]).tobytes()
+
+
 class TestScalarQuadratic:
     def test_bundled_constants(self):
         fx = build_fixture("scalar_quadratic")

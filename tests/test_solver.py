@@ -822,6 +822,75 @@ class TestUniquenessProbe:
         assert uniqueness_probe(fx.problem, cert, num_starts=3.0).num_starts == 3
 
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_tol_finite_and_non_negative(self, tol):
+        # scalar_quadratic's root is unique: its limits agree to about 1e-13
+        fx = build_fixture("scalar_quadratic")
+        cert = certify(analytic_model(fx))
+        calls = []
+        problem = replace(fx.problem, f=lambda x: (calls.append(None), fx.problem.f(x))[1])
+        with pytest.raises(BadParameters, match=rf"^tol must be finite and >= 0, got {tol!r}$"):
+            uniqueness_probe(problem, cert, num_starts=3, tol=tol)
+        assert not calls
+        assert uniqueness_probe(problem, cert, num_starts=3, tol=1e-8).passed
+
+
+def _screened(x):
+    """F on the plane: raises left of u = -2, nan right of u = 2, and finite
+    1e308 entries, whose one and two norms overflow, for u in [-2, -1);
+    elsewhere x - 0.1, solved in one step by B = I."""
+    u = x[..., :1]
+    if np.any(u < -2.0):
+        raise RuntimeError("outside the model's domain")
+    return np.where(u > 2.0, np.nan, np.where(u < -1.0, 1e308, x - 0.1))
+
+
+class TestFinitenessScreen:
+    """Non-finite residuals are read from their norms; only a nan or inf entry fails a row."""
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_fsi_solve(self, norm):
+        p = Problem(f=_screened, slope=np.eye(2), x0=np.zeros(2), R=1.0, norm=norm)
+        with pytest.raises(EvaluationFailed, match=r"^operator returned non-finite values$"):
+            fsi_solve(replace(p, x0=np.array([2.5, 0.0])))
+        with pytest.raises(EvaluationFailed,
+                           match=r"^operator evaluation raised: outside the model's domain$"):
+            fsi_solve(replace(p, x0=np.array([-2.5, 0.0])))
+        # a finite residual whose norm overflows is not flagged: its step leaves the ball
+        with np.errstate(over="ignore"):
+            x, trace = fsi_solve(replace(p, x0=np.array([-1.5, 0.0])))
+        assert trace.stop_reason == "left_ball"
+        assert x.tolist() == [-1.5, 0.0]
+        assert trace.residual_norms == [1e308 if norm == "max" else math.inf]
+        x, trace = fsi_solve(p)
+        assert trace.converged and x.tolist() == [0.1, 0.1]
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_probe_rows_match_per_start_solves(self, norm):
+        cert = certify(analytic_model(build_fixture("scalar_quadratic")))
+        p = Problem(f=_screened, slope=np.eye(2), x0=np.zeros(2), R=cert.lambda_star,
+                    norm=norm)
+        with np.errstate(over="ignore"):
+            report = uniqueness_probe(p, cert, num_starts=40, seed=4)
+        failures = []
+        for i, start in enumerate(_probe_starts(p, cert.lambda_star, 40, 4)):
+            rho = vector_norm(start - p.x0, norm)
+            try:
+                with np.errstate(over="ignore"):
+                    _, trace = fsi_solve(replace(p, x0=start, R=rho + cert.lambda_star))
+            except EvaluationFailed as exc:
+                failures.append((i, f"evaluation failed: {exc}"))
+                continue
+            if not trace.converged:
+                failures.append((i, f"stopped with {trace.stop_reason}"))
+        assert report.failures == failures
+        assert {msg for _, msg in failures} == {
+            "evaluation failed: operator returned non-finite values",
+            "evaluation failed: operator evaluation raised: outside the model's domain",
+            "stopped with left_ball"}
+        assert len(report.limits) == 40 - len(failures) > 0
+
+
 class TestContainment:
     def test_certified_iterates_stay_in_nu_star_ball(self):
         for name, kw in [("scalar_quadratic", {}), ("scalar_quadratic", dict(x0=1.0, b=0.5)),
