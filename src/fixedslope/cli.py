@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: certify, solve, compare, estimate-omega, list-problems.
-Structured documents are JSON with a "schema": 1 field; traces and
-measures are CSV.  Floats are serialized with their shortest round-trip
+Every JSON document (certificate, comparison, solve report) comes from
+_to_doc: "schema": 1, its "kind", then each value under its name, each
+value through _fmt.  Both CSV tables (trace, measure) come from
+_write_csv.  Floats are serialized with their shortest round-trip
 decimal representation, so re-reading a document reproduces the values
 bit for bit.
 
@@ -66,13 +68,18 @@ DEFAULT_SEED = 0
 
 
 def _fmt(x):
-    """JSON value: numbers as floats (infinite ones as "unbounded"), tuples as lists."""
-    if x is None or isinstance(x, (bool, str)):
+    """JSON value: a float as itself ("unbounded" if infinite); None, bools, text and ints
+    as they are; a mapping value by value; a tuple, list or array as a list; other numbers
+    as floats."""
+    if isinstance(x, float):  # the common case first
+        return "unbounded" if math.isinf(x) else float(x)
+    if x is None or isinstance(x, (bool, str, int)):
         return x
-    if isinstance(x, tuple):
+    if isinstance(x, dict):
+        return {k: _fmt(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list, np.ndarray)):
         return [_fmt(v) for v in x]
-    x = float(x)
-    return "unbounded" if math.isinf(x) else x
+    return _fmt(float(x))
 
 
 def _write_text(text, path):
@@ -99,7 +106,10 @@ def _write_json(doc, path):
     _write_text(json.dumps(doc, indent=2) + "\n", path)
 
 
-def _write_lines(lines, path):
+def _write_csv(header, rows, path):
+    """A CSV table under its header line: each number as its repr, a None cell empty."""
+    lines = [header]
+    lines += [",".join(["" if x is None else repr(x) for x in row]) for row in rows]
     _write_text("\n".join(lines) + "\n", path)
 
 
@@ -108,11 +118,15 @@ def _doc_fields(cls):
     return [f for f in fields(cls) if f.name != "model"]
 
 
-def _to_doc(kind, record):
-    doc = {"schema": SCHEMA_VERSION, "kind": kind}
-    for f in _doc_fields(type(record)):
-        doc[f.name] = _fmt(getattr(record, f.name))
-    return doc
+def _to_doc(kind, values):
+    """The layout of every JSON document: schema, kind, then each value under its name.
+
+    values is a mapping, or a record whose fields are taken in declaration
+    order without its model.
+    """
+    if not isinstance(values, dict):
+        values = {f.name: getattr(values, f.name) for f in _doc_fields(type(values))}
+    return {"schema": SCHEMA_VERSION, "kind": kind, **_fmt(values)}
 
 
 def certificate_to_doc(cert):
@@ -128,18 +142,6 @@ def read_certificate(path):
         value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
         values[f.name] = tuple(value) if isinstance(value, list) else value
     return ConvergenceCertificate(**values)
-
-
-def trace_to_csv_lines(trace, report=None):
-    """CSV rows of a trace; the scalar columns come from its majorization report."""
-    lines = ["k,step_norm,residual_norm,v_step,bound_slack,error_bound"]
-    for k in range(trace.num_steps):
-        scalar = ",,"
-        if report is not None:
-            scalar = (f"{report.scalar_steps[k]!r},{report.step_slacks[k]!r},"
-                      f"{report.error_bounds[k]!r}")
-        lines.append(f"{k},{trace.step_norms[k]!r},{trace.residual_norms[k]!r},{scalar}")
-    return lines
 
 
 def _parse_value(text):
@@ -223,44 +225,40 @@ def _cmd_certify(args):
 
 def _cmd_solve(args):
     fixture = _load_fixture(args)
-    cert = None
-    cert_note = "none requested"
+    cert, note = None, "none requested"
     if not args.no_certificate:
         try:
             cert = certify(_obtain_model(fixture, args))
+            note = "attached" if cert.certified else f"refused: {cert.reason}"
         except FixedSlopeError as exc:
-            cert, cert_note = None, f"unobtainable: {exc}"
-        else:
-            if not cert.certified:
-                cert_note, cert = f"refused: {cert.reason}", None
-            else:
-                cert_note = "attached"
+            note = f"unobtainable: {exc}"
+    if note != "attached":
+        cert = None
     stop = StoppingRule(args.tol_step, args.tol_residual, args.max_iter)
     solution, trace = fsi_solve(fixture.problem, stop, cert)
     report = None
+    scalar = ([None] * trace.num_steps,) * 3  # empty scalar columns
     if cert is not None and trace.num_steps > 0:
         report = verify_majorization(trace, cert.model)
-    _write_lines(trace_to_csv_lines(trace, report), args.trace)
+        scalar = (report.scalar_steps, report.step_slacks, report.error_bounds)
+    _write_csv("k,step_norm,residual_norm,v_step,bound_slack,error_bound",
+               zip(range(trace.num_steps), trace.step_norms, trace.residual_norms, *scalar),
+               args.trace)
 
     doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "solve_report",
         "stop_reason": trace.stop_reason,
         "steps": trace.num_steps,
-        "final_residual_norm": _fmt(trace.residual_norms[-1]),
-        "final_step_norm": _fmt(trace.step_norms[-1]) if trace.step_norms else None,
-        "solution": [_fmt(v) for v in solution],
+        "final_residual_norm": trace.residual_norms[-1],
+        "final_step_norm": trace.step_norms[-1] if trace.step_norms else None,
+        "solution": solution,
         "norm": fixture.problem.norm,
-        "certificate": cert_note,
-        "nu_star": _fmt(cert.nu_star) if cert else None,
+        "certificate": note,
+        "nu_star": cert.nu_star if cert else None,
         "trace_path": args.trace,
     }
     if report is not None:
-        doc["majorization"] = {
-            "passed": report.passed,
-            "worst_slack": _fmt(report.worst_slack),
-        }
-    _write_json(doc, args.report)
+        doc["majorization"] = {"passed": report.passed, "worst_slack": report.worst_slack}
+    _write_json(_to_doc("solve_report", doc), args.report)
     print(
         f"{trace.stop_reason} after {trace.num_steps} steps, "
         f"residual {trace.residual_norms[-1]!r} -> {args.trace}, {args.report}"
@@ -338,8 +336,7 @@ def _cmd_compare(args):
 def _cmd_estimate(args):
     fixture = _load_fixture(args)
     omega = estimate_omega(fixture.problem, mode=args.mode, **_sampling(fixture, args))
-    lines = ["radius,value"] + [f"{r!r},{w!r}" for r, w in omega.knots]
-    _write_lines(lines, args.out)
+    _write_csv("radius,value", omega.knots, args.out)
     print(f"{len(omega.knots)} knots ({args.mode} mode) -> {args.out}")
     return EXIT_OK
 

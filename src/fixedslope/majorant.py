@@ -6,6 +6,10 @@ first-step bound eta it defines the majorant
 
     phi(v) = eta + integral_0^v omega(l) dl ,        g(v) = phi(v) - v .
 
+A measure answers three calls: value_and_integral(v), the pair
+(omega(v), integral_0^v omega); radius_where_one(), the smallest v with
+omega(v) >= 1; and max_radius(), the end of its domain.
+
 omega is non-decreasing, so g is convex: it falls from g(0) = eta > 0
 with slope omega(0) - 1 < 0 and turns upward once omega crosses 1.  The
 radius of that crossing (clipped to R) is gamma_star, the minimizer of g
@@ -89,12 +93,6 @@ class HoelderOmega:
         top = self.l0 * v ** self.alpha
         return self.nu + top, self.nu * v + top * v / (1.0 + self.alpha)
 
-    def value(self, v):
-        return self.value_and_integral(v)[0]
-
-    def integral(self, v):
-        return self.value_and_integral(v)[1]
-
     def radius_where_one(self):
         """Smallest v with omega(v) >= 1; inf when omega stays below 1 on all floats."""
         if self.nu >= 1.0:
@@ -165,12 +163,6 @@ class TabulatedOmega:
         w = w0 + (w1 - w0) * (v - r0) / (r1 - r0)
         return w, self._cum[i] + 0.5 * (w0 + w) * (v - r0)
 
-    def value(self, v):
-        return self.value_and_integral(v)[0]
-
-    def integral(self, v):
-        return self.value_and_integral(v)[1]
-
     def radius_where_one(self):
         i = bisect.bisect_left(self._values, 1.0, 1)  # the values are non-decreasing
         if i == len(self._values):
@@ -213,7 +205,7 @@ def phi(model, v):
     """Majorant phi(v) = eta + integral_0^v omega."""
     if v < 0.0 or v > model.R:
         raise RadiusOutOfRange(f"v={v} outside [0, {model.R}]")
-    return model.eta + model.omega.integral(v)
+    return model.eta + model.omega.value_and_integral(v)[1]
 
 
 def g(model, v):
@@ -296,7 +288,7 @@ class RootAnalysis:
 
 def _nu(model):
     """omega(0), the contraction defect at x0: one reading, one test against 1."""
-    nu = float(model.omega.value(0.0))
+    nu = float(model.omega.value_and_integral(0.0)[0])
     if nu >= 1.0:
         raise NuNotContractive(nu)
     return nu

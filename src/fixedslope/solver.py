@@ -142,7 +142,7 @@ class IterationTrace:
     step_norms: list
     residual_norms: list
     stop_reason: str
-    norm: str = "max"
+    norm: str
 
     @property
     def num_steps(self):
@@ -330,7 +330,6 @@ class MajorizationReport:
 
     passed: bool
     worst_slack: float
-    converged: bool
     scalar_steps: list
     error_bounds: list
     step_slacks: list
@@ -366,7 +365,6 @@ def verify_majorization(trace, model):
     return MajorizationReport(
         passed=worst >= -_SLACK and trace.stop_reason != STOP_LEFT_BALL,
         worst_slack=worst,
-        converged=trace.converged,
         scalar_steps=scalar_steps,
         error_bounds=error_bounds,
         step_slacks=step_slacks,

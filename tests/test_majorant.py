@@ -42,7 +42,7 @@ def quad_model(eta=0.5, l0=0.5, nu=0.0, R=10.0):
 def tabulate(omega, R, num_knots):
     """omega sampled on a uniform grid of num_knots radii over [0, R]."""
     radii = np.linspace(0.0, R, num_knots)
-    return TabulatedOmega(tuple((float(r), float(omega.value(r))) for r in radii))
+    return TabulatedOmega(tuple((float(r), float(omega.value_and_integral(r)[0])) for r in radii))
 
 
 class CountingMeasure:
@@ -51,19 +51,10 @@ class CountingMeasure:
     def __init__(self, inner):
         self.inner, self.evaluations, self.at_zero = inner, 0, 0
 
-    def _evaluate(self, name, v):
+    def value_and_integral(self, v):
         self.evaluations += 1
         self.at_zero += v == 0.0
-        return getattr(self.inner, name)(v)
-
-    def value(self, v):
-        return self._evaluate("value", v)
-
-    def integral(self, v):
-        return self._evaluate("integral", v)
-
-    def value_and_integral(self, v):
-        return self._evaluate("value_and_integral", v)
+        return self.inner.value_and_integral(v)
 
     def radius_where_one(self):
         return self.inner.radius_where_one()
@@ -100,22 +91,23 @@ def random_hoelder_model(rng, certifiable=None):
 
 class TestOmegaMeasures:
     def test_eval_hoelder(self):
-        assert HoelderOmega(1.0, 1.0, 0.0).value(0.25) == 0.25
-        assert HoelderOmega(0.0, 1.0, 0.3).value(5.0) == 0.3
+        assert HoelderOmega(1.0, 1.0, 0.0).value_and_integral(0.25)[0] == 0.25
+        assert HoelderOmega(0.0, 1.0, 0.3).value_and_integral(5.0)[0] == 0.3
         # v^alpha = 0.04^0.5 = 0.2 exactly
-        assert HoelderOmega(0.5, 0.5, 0.1).value(0.04) == pytest.approx(0.2, abs=1e-15)
+        w = HoelderOmega(0.5, 0.5, 0.1).value_and_integral(0.04)[0]
+        assert w == pytest.approx(0.2, abs=1e-15)
 
     def test_hoelder_far_reach(self):
         # ((1 - nu) / l0)^(1/alpha) = 1e1000 overflows: omega stays below 1 on all floats
         assert HoelderOmega(1e-300, 0.3).radius_where_one() == math.inf
         # 1e200^2 overflows on the way, omega(1e200) * 1e200 / 2 does not
-        assert HoelderOmega(1e-200, 1.0).integral(1e200) == 5e199
+        assert HoelderOmega(1e-200, 1.0).value_and_integral(1e200)[1] == 5e199
 
     def test_hoelder_tiny_reach(self):
         # 1.6e-300^2 underflows to 0, omega(1.6e-300) * 1.6e-300 / 2 does not
         om = HoelderOmega(1e299, 1.0)
-        assert om.integral(1.6e-300) == pytest.approx(1.28e-301, rel=1e-15, abs=0.0)
-        assert om.integral(0.0) == 0.0
+        assert om.value_and_integral(1.6e-300)[1] == pytest.approx(1.28e-301, rel=1e-15, abs=0.0)
+        assert om.value_and_integral(0.0)[1] == 0.0
 
     def test_hoelder_validation(self):
         with pytest.raises(ValueError):
@@ -135,17 +127,17 @@ class TestOmegaMeasures:
         om = HoelderOmega(0.5, 0.5, nu)
         flat = TabulatedOmega(((0.0, nu), (1.0, nu)))
         assert om.radius_where_one() == flat.radius_where_one() == 0.0
-        assert om.value(0.0) == nu
+        assert om.value_and_integral(0.0)[0] == nu
         with pytest.raises(NuNotContractive):
             analyze(MajorantModel(1.0, 2.0, om))
 
     def test_tabulated_eval(self):
         om = TabulatedOmega(((0.0, 0.1), (1.0, 0.5), (2.0, 0.5)))
-        assert om.value(0.0) == 0.1
-        assert om.value(0.5) == pytest.approx(0.3)
-        assert om.value(1.5) == 0.5
+        assert om.value_and_integral(0.0)[0] == 0.1
+        assert om.value_and_integral(0.5)[0] == pytest.approx(0.3)
+        assert om.value_and_integral(1.5)[0] == 0.5
         with pytest.raises(RadiusOutOfRange):
-            om.value(2.0001)
+            om.value_and_integral(2.0001)
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
@@ -171,12 +163,12 @@ class TestOmegaMeasures:
         om = TabulatedOmega(((0.0, 0.0), (0.5, 0.25), (1.0, 0.3), (2.0, 0.9)))
         for v in [0.3, 0.5, 0.77, 1.0, 1.9, 2.0]:
             grid = np.linspace(0.0, v, 20001)
-            ref = np.trapezoid([om.value(t) for t in grid], grid)
-            assert om.integral(v) == pytest.approx(ref, abs=1e-8)
+            ref = np.trapezoid([om.value_and_integral(t)[0] for t in grid], grid)
+            assert om.value_and_integral(v)[1] == pytest.approx(ref, abs=1e-8)
 
 
     def test_value_and_integral_bit_for_bit(self):
-        # against value, integral and their closed forms, written out here
+        # against their closed forms, written out here
         rng = np.random.default_rng(19)
         for _ in range(300):
             l0 = 10.0 ** rng.uniform(-300.0, 300.0)
@@ -186,7 +178,6 @@ class TestOmegaMeasures:
             for v in (0.0, 10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(0.0, 10.0)):
                 ref = (nu + l0 * v ** alpha, nu * v + l0 * v ** alpha * v / (1.0 + alpha))
                 assert repr(om.value_and_integral(v)) == repr(ref)
-                assert repr((om.value(v), om.integral(v))) == repr(ref)
         for _ in range(100):
             n = int(rng.integers(2, 200))
             radii = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, n - 1))])
@@ -203,7 +194,6 @@ class TestOmegaMeasures:
                 w = w0 + (w1 - w0) * (v - r0) / (r1 - r0)
                 ref = (w, cum[i] + 0.5 * (w0 + w) * (v - r0))
                 assert repr(om.value_and_integral(v)) == repr(ref)
-                assert repr((om.value(v), om.integral(v))) == repr(ref)
 
     def test_one_knot_search_per_evaluation(self, monkeypatch):
         searches = []
@@ -406,7 +396,7 @@ class TestProperties:
         for _ in range(100):
             m = random_hoelder_model(rng)
             a, b = sorted(rng.uniform(0.0, m.R, size=2))
-            assert m.omega.value(a) <= m.omega.value(b) + 1e-15
+            assert m.omega.value_and_integral(a)[0] <= m.omega.value_and_integral(b)[0] + 1e-15
             assert phi(m, a) <= phi(m, b) + 1e-15
 
     def test_convexity_chord(self):

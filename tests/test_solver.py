@@ -643,7 +643,7 @@ class TestEstimateMajorant:
         fx = build_fixture("poly2d")
         m = estimate_majorant(fx.problem, mode="centered", seed=0)
         assert m.eta == pytest.approx(analytic_model(fx).eta, abs=1e-12)
-        assert m.omega.value(0.0) <= 1e-12  # nu is ~0 for the exact inverse slope
+        assert m.omega.value_and_integral(0.0)[0] <= 1e-12  # nu is ~0 for the exact inverse slope
         assert m.R == fx.problem.R
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
