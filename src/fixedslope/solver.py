@@ -60,15 +60,22 @@ DEFAULT_NUM_RADII = 24
 DEFAULT_SAMPLES = 64
 
 # The estimator applies B and the norm to stacks of sampled Jacobians of at
-# most this many floats (256 KiB, eight Jacobians at n = 64), so its memory
-# does not grow with the budget.  A stack holds as many whole radii as fit,
-# or part of one radius that does not fit alone.  Each call writes every
-# stack's B F'(x), its shift and its |.| into one workspace of that size
-# (plus two Gram buffers for the spectral norm), allocated once.  Each stack
-# is reduced once, every radius against the running max, so a matrix that
-# cannot raise its knot is never decomposed.  The uniqueness probe takes its
-# pairwise differences in blocks of the same size.
-_STACK_FLOATS = 2**15
+# most this many floats (512 KiB, sixteen Jacobians at n = 64), so its memory
+# does not grow with the budget.  Four such arrays, the estimator's live set
+# in the two norm (the B F'(x) workspace, the problem's Jacobian stack and
+# two Gram buffers), fill one core's 2 MiB L2 cache.  On a 2-vCPU Xeon VM
+# the benchmark's 12 H-equation estimates ran at 216, 221, 230, 228 and 221
+# jobs/s with 2^15, 3 * 2^14, 2^16, 5 * 2^14 and 3 * 2^15 floats (best time
+# per estimate over 30 interleaved rounds in one process).  The size only
+# groups independent matrices: each matrix's product, shift and norm, and so
+# every knot, are the same at any size.  A stack holds as many whole radii
+# as fit, or part of one radius that does not fit alone.  Each call writes
+# every stack's B F'(x), its shift and its |.| into one workspace of that
+# size (plus two Gram buffers for the spectral norm), allocated once.  Each
+# stack is reduced once, every radius against the running max, so a matrix
+# that cannot raise its knot is never decomposed.  The uniqueness probe
+# takes its pairwise differences in blocks of the same size.
+_STACK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from exact_measures import EXACT
-from fixedslope import norms
+from fixedslope import norms, solver
 from fixedslope.certificate import REASON_NU_TOO_LARGE, REASON_RADIUS_TOO_SMALL, certify
 from fixedslope.errors import (
     BadParameters,
@@ -49,6 +49,11 @@ def _no_value(x):
 
 def quad_problem(**kw):
     return build_fixture("scalar_quadratic", **kw).problem
+
+
+def holding(jacobians):
+    """The largest n whose estimator stack holds at least this many n x n Jacobians."""
+    return math.isqrt(_STACK_FLOATS // jacobians)
 
 
 def one_step(problem, x, tol=1e-12):
@@ -444,10 +449,9 @@ class TestEstimateOmega:
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     def test_batched_stacks_match_per_point_loop(self, norm, mode):
-        # n = 29 puts 32768 // 29**2 = 38 Jacobians in a stack, so a stack
-        # boundary falls inside each radius: 40 samples, or 58 signed axis
-        # directions in the one norm.
-        problem = build_fixture("chandrasekhar", n=29, norm=norm).problem
+        # about 38 Jacobians a stack, so a stack boundary falls inside each
+        # radius: 40 samples, or 2n signed axis directions in the one norm
+        problem = build_fixture("chandrasekhar", n=holding(38), norm=norm).problem
         chunk = _STACK_FLOATS // problem.dim**2
         radii = [problem.R / 3.0, 2.0 * problem.R / 3.0, problem.R]
         om = estimate_omega(problem, mode, radii=radii, samples_per_radius=40, seed=5)
@@ -574,10 +578,12 @@ class TestEstimatorWorkspace:
     @pytest.mark.parametrize("name, params", [
         ("chandrasekhar", {"n": 2}),
         ("chandrasekhar", {"n": 8}),
-        ("chandrasekhar", {"n": 14}),  # 167 Jacobians a stack: whole radii leave part of it empty
+        # about 167 Jacobians a stack: whole radii leave part of it empty
+        ("chandrasekhar", {"n": holding(167)}),
         ("chandrasekhar", {"n": 15}),
-        ("chandrasekhar", {"n": 29}),  # 38 a stack: 64 samples span two stacks
-        ("chandrasekhar", {"n": 57}),  # 10 a stack: a partial last stack per radius
+        ("chandrasekhar", {"n": holding(38)}),  # about 38: 64 samples span two stacks
+        # about 20 a stack: 64 samples span four stacks, the last one partial
+        ("chandrasekhar", {"n": holding(20)}),
         ("poly2d", {}),
         ("scalar_quadratic", {}),
         ("scalar_holder", {}),
@@ -590,6 +596,25 @@ class TestEstimatorWorkspace:
             om = estimate_omega(problem, mode, radii=radii, samples_per_radius=samples,
                                 seed=seed)
             assert om.knots == fresh_array_omega(problem, mode, radii, samples, seed)
+
+    @pytest.mark.parametrize("mode", ["direct", "centered"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("n", [15, 29, 43, 57])
+    def test_stack_budget_never_moves_a_result(self, monkeypatch, n, norm, mode):
+        # 8 radii x 16 samples pack differently under each budget: all radii
+        # in one stack, a few whole radii a stack, or each radius over
+        # several stacks.  No product, shift or norm may span a stack: one
+        # GEMM over a whole stack moves the two-norm knots at n = 57, seed 1
+        # (OpenBLAS 0.3 on an AVX2 Xeon).
+        problem = build_fixture("chandrasekhar", n=n, norm=norm).problem
+        radii = default_radii(problem.R, 8)
+        results = []
+        for floats in (2**14, 2**15, 2**16):
+            monkeypatch.setattr(solver, "_STACK_FLOATS", floats)
+            model = estimate_majorant(problem, mode, radii=radii, samples_per_radius=16, seed=1)
+            results.append((model.omega.knots, certify(model)))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
@@ -616,10 +641,12 @@ class TestEstimatorWorkspace:
 
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
     def test_memory_does_not_grow_with_the_budget(self, norm):
-        # 16 times the samples may add only the larger point stacks, not
-        # larger Jacobian stacks or norm scratch
+        # one radius of the smaller budget fills a whole stack, so 16 times
+        # the samples may add only the larger point stacks, not larger
+        # Jacobian stacks or norm scratch
         problem = build_fixture("chandrasekhar", n=57, norm=norm).problem
         radii = default_radii(problem.R, 4)
+        small = _STACK_FLOATS // problem.dim**2
 
         def peak(samples):
             estimate_omega(problem, "centered", radii=radii, samples_per_radius=samples, seed=1)
@@ -632,10 +659,10 @@ class TestEstimatorWorkspace:
                 tracemalloc.stop()
 
         rng = np.random.default_rng(0)
-        extra = (len(_sphere_points(problem, 1.0, 256, rng))
-                 - len(_sphere_points(problem, 1.0, 16, rng))) * problem.x0.nbytes
+        extra = (len(_sphere_points(problem, 1.0, 16 * small, rng))
+                 - len(_sphere_points(problem, 1.0, small, rng))) * problem.x0.nbytes
         assert 0 < extra
-        assert peak(256) - peak(16) <= 3 * extra
+        assert peak(16 * small) - peak(small) <= 3 * extra
 
 
 class TestEstimateMajorant:
@@ -716,10 +743,10 @@ class TestUniquenessProbe:
     def test_max_pairwise_distance_matches_pair_loop(self, fixture, norm):
         # loose stopping keeps the limits apart, so the distances are not all 0
         if fixture == "chandrasekhar":
-            # 60 limits of n = 40 go in blocks of 13 rows, the last one partial
+            # limits of n = 40 go in blocks of 13 rows, the last one partial
             problem = build_fixture(fixture, n=40, norm=norm).problem
             cert = certify(estimate_majorant(problem, seed=1))
-            num_starts, stop = 60, StoppingRule(1e-3, 1e-3)
+            num_starts, stop = _STACK_FLOATS // (13 * problem.dim), StoppingRule(1e-3, 1e-3)
         else:
             fx = build_fixture(fixture, norm=norm)
             problem, cert = fx.problem, certify(analytic_model(fx))
@@ -728,8 +755,9 @@ class TestUniquenessProbe:
                                   stop=stop)
         limits = report.limits
         assert len(limits) == num_starts
-        if num_starts == 60:
+        if fixture == "chandrasekhar":
             assert _STACK_FLOATS // (num_starts * problem.dim) == 13
+            assert 13 < num_starts - 1 and (num_starts - 1) % 13 != 0
         expected = max(vector_norm(a - b, norm)
                        for i, a in enumerate(limits) for b in limits[i + 1:])
         assert expected > 0.0
