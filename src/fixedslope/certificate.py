@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import majorant
 from .errors import NuNotContractive
-from .majorant import MajorantModel
+from .majorant import BOUNDARY_CLOSED, BOUNDARY_OPEN, MajorantModel  # noqa: F401 (re-exported)
 
 PREVIEW_TERMS = 16
 
@@ -29,9 +29,6 @@ STATUS_NOT_CERTIFIED = "not_certified"
 REASON_NU_TOO_LARGE = "nu_too_large"
 REASON_CONSTRAINT_A = "constraint_a_fails"
 REASON_RADIUS_TOO_SMALL = "radius_too_small"
-
-BOUNDARY_CLOSED = "closed"  # case B1
-BOUNDARY_OPEN = "open"  # case B2
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def certify(model):
         nu_star_star=roots.nu_star_star,
         gamma_star=roots.gamma_star,
         lambda_star=roots.lambda_star,
-        uniqueness_boundary=BOUNDARY_CLOSED if roots.case == "B1" else BOUNDARY_OPEN,
+        uniqueness_boundary=roots.uniqueness_boundary,
         scalar_sequence=tuple(preview),
         model=model,
     )

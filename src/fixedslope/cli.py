@@ -322,8 +322,6 @@ def _cmd_compare(args):
         delta = _pop_number(params, "delta", None)
     except KeyError as exc:
         raise BadParameters(f"compare needs l0=... eta=... (missing {exc})") from exc
-    except ValueError as exc:
-        raise BadParameters(str(exc)) from exc
     if params:
         raise BadParameters(f"unknown compare parameters: {sorted(params)}")
     rep = compare_report(p, R, delta=delta)
@@ -354,16 +352,11 @@ def _seed(text):
     return int(text)
 
 
-def _count(text, words="must be a whole number >= 1"):
-    """--samples and --max-iter: a whole number >= 1, refused in these words."""
+def _count(text):
+    """--radii, --samples and --max-iter: a whole number >= 1, in _whole's words."""
     if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"{words}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
     return int(text)
-
-
-def _num_radii(text):
-    """--radii: a count, refused in default_radii's words."""
-    return _count(text, "number of radii must be >= 1 and whole")
 
 
 def _add_problem_arguments(sub, with_measure=True):
@@ -372,7 +365,7 @@ def _add_problem_arguments(sub, with_measure=True):
     sub.add_argument("--norm", choices=NORM_KINDS,
                      help="vector norm (default: the spec file's norm, else max)")
     sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    sub.add_argument("--radii", type=_num_radii, default=DEFAULT_NUM_RADII,
+    sub.add_argument("--radii", type=_count, default=DEFAULT_NUM_RADII,
                      help="number of estimation radii (uniform up to R)")
     sub.add_argument("--samples", type=_count, default=DEFAULT_SAMPLES,
                      help="sphere samples per radius for estimation")
@@ -455,7 +448,7 @@ def main(argv=None):
         with np.errstate(all="ignore"):  # finiteness checks report failed evaluations
             return args.func(args)
     except (UnknownFixture, BadParameters, RadiusOutOfRange,
-            OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except FixedSlopeError as exc:

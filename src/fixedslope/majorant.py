@@ -18,8 +18,8 @@ signs are known:
 
     nu_star       minimal root of g, bracketed by [0, gamma_star]
     nu_star_star  maximal root of g, bracketed by [gamma_star, R]
-    lambda_star   radius of the uniqueness ball, with its boundary case
-                  ("B1" closed ball, "B2" open ball)
+    lambda_star   radius of the uniqueness ball, with its boundary:
+                  BOUNDARY_CLOSED (the paper's case B1) or BOUNDARY_OPEN (B2)
 
 Both roots come from one safeguarded Newton iteration started where g > 0
 (at 0 and at R); each is the float beside the root where the computed g
@@ -55,6 +55,9 @@ from dataclasses import dataclass, replace
 from .errors import NuNotContractive, RadiusOutOfRange
 
 ROOT_TOL = 1e-12
+
+BOUNDARY_CLOSED = "closed"  # case B1
+BOUNDARY_OPEN = "open"  # case B2
 
 # Cap on the evaluations of g in each phase of _root: even halving [0, hi]
 # onto a root r takes only about log2(hi / r) + 53 steps, below this cap
@@ -272,9 +275,10 @@ class RootAnalysis:
 
     gamma_star is where omega reaches 1, clipped to R.  nu_star is None
     when g has no root on [0, R], and then so are the other radii;
-    nu_star_star is None when the maximal root lies beyond R; case is "B1"
-    (closed uniqueness ball) or "B2" (open ball).  nu_star_needed is set
-    only without nu_star: the root past R, if any.
+    nu_star_star is None when the maximal root lies beyond R;
+    uniqueness_boundary is BOUNDARY_CLOSED (the paper's case B1) or
+    BOUNDARY_OPEN (case B2), and certify copies it.  nu_star_needed is
+    set only without nu_star: the root past R, if any.
     """
 
     nu: float
@@ -282,7 +286,7 @@ class RootAnalysis:
     nu_star: float | None
     nu_star_star: float | None
     lambda_star: float | None
-    case: str | None
+    uniqueness_boundary: str | None
     nu_star_needed: float | None = None
 
 
@@ -358,12 +362,12 @@ def analyze(model):
             nss = _root(model, R, g_r, w - 1.0, gam)
     band = max(10.0 * stol, _MERGE_BAND_REL * eta)
     if g_gam >= -band:
-        lam, case = ns, "B1"
+        lam, boundary = ns, BOUNDARY_CLOSED
     elif nss is None:
-        lam, case = R, "B1"
+        lam, boundary = R, BOUNDARY_CLOSED
     else:
-        lam, case = nss, "B2"
-    return RootAnalysis(nu, gam, ns, nss, lam, case)
+        lam, boundary = nss, BOUNDARY_OPEN
+    return RootAnalysis(nu, gam, ns, nss, lam, boundary)
 
 
 def majorizing_terms(model):

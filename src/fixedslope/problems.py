@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BadParameters, UnknownFixture
 from .majorant import HoelderOmega, MajorantModel
-from .norms import NORM_KINDS
+from .norms import NORM_KINDS, matrix_norm
 from .solver import Problem, eta_at_start
 
 
@@ -147,12 +147,10 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
 
 
 def _diag_quadratic_l0(slope, norm):
-    # Exact sup of ||B * 2 diag(h)|| over the unit ball of the vector norm.
-    b_abs = np.abs(slope)
-    if norm == "max":
-        return 2.0 * float(np.max(np.sum(b_abs, axis=1)))
-    if norm == "one":
-        return 2.0 * float(np.max(np.sum(b_abs, axis=0)))
+    # Exact sup of ||B * 2 diag(h)|| over the unit ball of the vector norm:
+    # the induced norm of B in the max and one norms, its largest column in the two norm.
+    if norm != "two":
+        return 2.0 * matrix_norm(slope, norm)
     return 2.0 * float(np.max(np.sqrt(np.sum(slope * slope, axis=0))))
 
 
@@ -215,9 +213,10 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
     n = x0.shape[0]
     if A.shape != (n, n) or b_vec.shape != (n,):
         raise BadParameters("A must be n x n and b_vec length n")
-    if abs(np.linalg.det(A)) < 1e-300:
-        raise BadParameters("A must be invertible")
-    slope = np.linalg.inv(A)
+    try:
+        slope = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise BadParameters("A must be invertible") from None
     solution = slope @ b_vec
     problem = Problem(
         f=lambda x: np.matmul(A, x[..., None])[..., 0] - b_vec,

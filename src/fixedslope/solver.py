@@ -118,10 +118,10 @@ class Problem:
         return self.x0.shape[0]
 
 
-def _whole(value, name, words="must be a whole number >= 1"):
+def _whole(value, name):
     """value as an int; BadParameters naming it unless it is a whole number >= 1."""
     if not (1 <= value < math.inf and value == math.floor(value)):
-        raise BadParameters(f"{name} {words}, got {value!r}")
+        raise BadParameters(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
 
 
@@ -481,7 +481,7 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
 
 def default_radii(R, num=DEFAULT_NUM_RADII):
     """num radii spaced evenly up to R; num must be a whole number >= 1."""
-    num = _whole(num, "number of radii", "must be >= 1 and whole")
+    num = _whole(num, "number of radii")
     return list(np.linspace(R / num, R, num))
 
 

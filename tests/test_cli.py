@@ -306,7 +306,7 @@ class TestSolve:
         code = run(tmp_path, monkeypatch, ["solve", "chandrasekhar", "--measure",
                                            "centered", "--radii", radii])
         assert code == 2
-        assert (f"argument --radii: number of radii must be >= 1 and whole, got {radii!r}"
+        assert (f"argument --radii: must be a whole number >= 1, got {radii!r}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "solve_report.json").exists()
 
@@ -404,7 +404,8 @@ class TestEstimateOmega:
                                           command, radii):
         code = run(tmp_path, monkeypatch, command + ["--radii", radii])
         assert code == 2
-        assert "number of radii must be >= 1" in capsys.readouterr().err
+        assert (f"argument --radii: must be a whole number >= 1, got {radii!r}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["estimate-omega", "poly2d"], "--samples", "0"),
@@ -418,9 +419,8 @@ class TestEstimateOmega:
     def test_count_flags_name_themselves(self, tmp_path, monkeypatch, capsys, argv, flag, value):
         code = run(tmp_path, monkeypatch, argv + [flag, value])
         assert code == 2
-        words = ("number of radii must be >= 1 and whole" if flag == "--radii"
-                 else "must be a whole number >= 1")
-        assert f"argument {flag}: {words}, got {value!r}" in capsys.readouterr().err
+        assert (f"argument {flag}: must be a whole number >= 1, got {value!r}"
+                in capsys.readouterr().err)
 
     def test_non_contractive_start_is_measured(self, tmp_path, monkeypatch):
         # nu = |2 b x0 - 1| = 2: direct mode measures it, only certify refuses
@@ -473,6 +473,14 @@ def test_bad_compare_parameter_named_exit_2(tmp_path, monkeypatch, capsys, param
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_singular_matrix_spec_file_exit_2(tmp_path, monkeypatch, capsys):
+    spec = {"fixture": "linear", "params": {"A": [[1, 2], [2, 4]]}}
+    (tmp_path / "prob.json").write_text(json.dumps(spec))
+    assert run(tmp_path, monkeypatch, ["certify", "prob.json"]) == 2
+    assert capsys.readouterr().err == "error: A must be invertible\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["prob.json"]
 
 
 def test_non_numeric_spec_file_parameter_exit_2(tmp_path, monkeypatch, capsys):

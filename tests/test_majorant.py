@@ -22,6 +22,8 @@ from fixedslope.certificate import (
 from fixedslope.comparison import HoelderParams
 from fixedslope.errors import NuNotContractive, RadiusOutOfRange
 from fixedslope.majorant import (
+    BOUNDARY_CLOSED,
+    BOUNDARY_OPEN,
     HoelderOmega,
     MajorantModel,
     RootAnalysis,
@@ -332,7 +334,7 @@ class TestRoots:
     def test_analyze_one_pass(self):
         assert analyze(quad_model()) == RootAnalysis(
             0.0, 2.0, analyze(quad_model()).nu_star, pytest.approx(2.0 + SQRT2, abs=1e-10),
-            pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
+            pytest.approx(2.0 + SQRT2, abs=1e-10), BOUNDARY_OPEN)
         assert analyze(quad_model(eta=1.0, l0=1.0)) == RootAnalysis(0.0, 1.0, None, None, None, None)
 
     def test_analyze_merge_band_keeps_both_bisected_roots(self):
@@ -343,15 +345,17 @@ class TestRoots:
         roots = analyze(m)
         assert -1e-9 * m.eta <= g(m, roots.gamma_star) < -stol
         assert roots.nu_star < roots.gamma_star < roots.nu_star_star
-        assert (roots.lambda_star, roots.case) == (roots.nu_star, "B1")
+        assert (roots.lambda_star, roots.uniqueness_boundary) == (roots.nu_star, BOUNDARY_CLOSED)
 
     def test_lambda_star_cases(self):
         roots = analyze(quad_model())
-        assert (roots.lambda_star, roots.case) == (pytest.approx(2.0 + SQRT2, abs=1e-10), "B2")
+        assert (roots.lambda_star, roots.uniqueness_boundary) == (
+            pytest.approx(2.0 + SQRT2, abs=1e-10), BOUNDARY_OPEN)
         roots = analyze(quad_model(l0=1.0))
-        assert roots.case == "B1" and roots.lambda_star == pytest.approx(1.0, abs=1e-9)
+        assert roots.uniqueness_boundary == BOUNDARY_CLOSED
+        assert roots.lambda_star == pytest.approx(1.0, abs=1e-9)
         roots = analyze(quad_model(R=3.0))
-        assert (roots.lambda_star, roots.case) == (3.0, "B1")
+        assert (roots.lambda_star, roots.uniqueness_boundary) == (3.0, BOUNDARY_CLOSED)
 
 
 class TestScalarSequence:

@@ -11,7 +11,13 @@ from fixedslope.errors import BadParameters, UnknownFixture
 from fixedslope.majorant import HoelderOmega
 from fixedslope.norms import vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture, fixture_names
-from fixedslope.solver import estimate_majorant, estimate_omega, eta_at_start, fsi_solve
+from fixedslope.solver import (
+    StoppingRule,
+    estimate_majorant,
+    estimate_omega,
+    eta_at_start,
+    fsi_solve,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,6 +160,19 @@ class TestLinear:
         x, trace = fsi_solve(fx.problem)
         assert trace.num_steps == 1
         assert x == pytest.approx(fx.known_solution, abs=1e-14)
+
+    def test_tiny_well_conditioned_matrix_is_invertible(self):
+        # det = 1e-320 at condition number 1: only inv decides invertibility.
+        # The residual test is absolute, so it is set below the 1e-160 scale of F.
+        fx = build_fixture("linear", A=((1e-160, 0.0), (0.0, 1e-160)), b_vec=(1e-160, 2e-160))
+        x, trace = fsi_solve(fx.problem, stop=StoppingRule(tol_residual=1e-300))
+        assert trace.num_steps >= 1
+        assert x == pytest.approx((1.0, 2.0), rel=1e-15)
+        assert fx.known_solution == pytest.approx((1.0, 2.0), rel=1e-15)
+
+    def test_singular_matrix_refused(self):
+        with pytest.raises(BadParameters, match=r"^A must be invertible$"):
+            build_fixture("linear", A=((1.0, 2.0), (2.0, 4.0)))
 
 
 class TestEtaFromTheProblem:

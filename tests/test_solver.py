@@ -548,7 +548,7 @@ def test_default_radii_whole_count(num, count):
 @pytest.mark.parametrize("num", [2.5, math.nan, math.inf, -math.inf, 0, -3])
 def test_default_radii_refuses_other_counts(num):
     with pytest.raises(BadParameters,
-                       match=rf"^number of radii must be >= 1 and whole, got {num!r}$"):
+                       match=rf"^number of radii must be a whole number >= 1, got {num!r}$"):
         default_radii(2.0, num)
 
 
