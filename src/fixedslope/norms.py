@@ -75,7 +75,7 @@ def matrix_norms(a, kind="max"):
     _check_kind(kind)
     a = np.asarray(a, dtype=float)
     if kind == "two":
-        return np.linalg.norm(a, 2, axis=(-2, -1))
+        return np.linalg.svd(a, compute_uv=False).max(axis=-1)
     return _abs_norms(np.abs(a), kind)
 
 

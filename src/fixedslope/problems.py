@@ -1,12 +1,11 @@
 """Bundled nonlinear test problems with analytically known measures.
 
 Each fixture packages an operator, its fixed slope and a starting point,
-and where a closed form exists also the exact Hoelder measure
-nu + l0 v^alpha of the iteration map.  The first-step bound
-eta = ||B F(x0)|| is not fixture data: analytic_model takes it from the
-problem through solver.eta_at_start, as the estimator does.  That makes
-certificates, traces and the measure estimator checkable against
-hand-computable values.
+and where a closed form exists also the growth l0 v^alpha of the exact
+Hoelder measure nu + l0 v^alpha of the iteration map.  eta = ||B F(x0)||
+and nu = ||B F'(x0) - I|| come from the problem (solver.eta_at_start and
+nu_at_start), as in the estimator.  That makes certificates, traces and
+the measure estimator checkable against hand-computable values.
 
 Operators act on the last axis, so they take a point or a stack alike.
 They run once per iteration step, so they keep their coefficients as
@@ -26,16 +25,15 @@ import numpy as np
 from .errors import BadParameters, UnknownFixture
 from .majorant import HoelderOmega, MajorantModel
 from .norms import NORM_KINDS, matrix_norm
-from .solver import Problem, eta_at_start
+from .solver import Problem, eta_at_start, nu_at_start
 
 
 @dataclass(frozen=True)
 class Fixture:
     """A bundled problem plus whatever analytic metadata it supports.
 
-    analytic: the closed-form Hoelder measure of the iteration map, exact
-    for this operator (None when no closed form is known).  It holds no
-    eta: a model takes eta = ||B F(x0)|| from the problem.
+    analytic: the exact growth l0 v^alpha of the measure past nu (None when
+    no closed form is known); its nu stays 0, as nu comes from the problem.
     """
 
     name: str
@@ -45,18 +43,20 @@ class Fixture:
 
 
 def analytic_model(fixture):
-    """Majorant model from the fixture's closed-form measure and eta = ||B F(x0)||."""
+    """Majorant model nu + l0 v^alpha from the fixture's growth and the problem's eta and nu."""
     if fixture.analytic is None:
         raise BadParameters(f"fixture {fixture.name!r} has no analytic majorant data")
-    return MajorantModel(eta_at_start(fixture.problem), fixture.problem.R, fixture.analytic)
+    problem, eta = fixture.problem, eta_at_start(fixture.problem)
+    omega = HoelderOmega(fixture.analytic.l0, fixture.analytic.alpha, nu_at_start(problem)[0])
+    return MajorantModel(eta, problem.R, omega)
 
 
 def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
     """F(x) = x^2 - c with constant slope b.
 
-    B F'(x) - 1 = 2bx - 1, so nu = |2b x0 - 1| and the measure is exactly
-    nu + 2|b| v.  With 2b x0 = 1 (the bundled default) nu = 0 and the
-    majorization bound is tight: ||x_k - x0|| converges to nu_star.
+    B (F'(x) - F'(x0)) = 2b (x - x0), so the measure is exactly nu + 2|b| v
+    with nu = |2b x0 - 1|.  With 2b x0 = 1 (the bundled default) nu = 0 and
+    the majorization bound is tight: ||x_k - x0|| converges to nu_star.
     """
     c, x0, b, R = float(c), float(x0), float(b), float(R)
     if c <= 0.0:
@@ -74,10 +74,7 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
     )
     if not math.isfinite(2.0 * b):
         raise BadParameters(f"scalar_quadratic: b={b!r} overflows its measure's l0 = 2|b|")
-    if not math.isfinite(2.0 * b * x0):
-        raise BadParameters(f"scalar_quadratic: b={b!r} with x0={x0!r} overflows "
-                            f"its measure's nu = |2 b x0 - 1|")
-    analytic = HoelderOmega(2.0 * abs(b), 1.0, abs(2.0 * b * x0 - 1.0))
+    analytic = HoelderOmega(2.0 * abs(b), 1.0)
     solution = math.sqrt(c) if x0 >= 0.0 else -math.sqrt(c)
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
@@ -114,8 +111,7 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
 
     F'(x) = |x-a|^alpha is Hoelder with exponent alpha and not Lipschitz
     at a.  The center-Hoelder constant of B(F'(x) - F'(x0)) is exactly
-    |b| (attained at x = a), so the analytic majorant is
-    |b| |x0-a|^alpha - 1| + |b| v^alpha.
+    |b| (attained at x = a), so the measure is nu + |b| v^alpha.
     """
     a, alpha, c, x0, b, R = map(float, (a, alpha, c, x0, b, R))
     if not (0.0 < alpha < 1.0):
@@ -138,10 +134,7 @@ def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
         R=R,
         norm=norm,
     )
-    if not math.isfinite(b * d ** alpha):
-        raise BadParameters(f"scalar_holder: b={b!r} with x0={x0!r} and a={a!r} overflows "
-                            f"its measure's nu = |b |x0 - a|^alpha - 1|")
-    analytic = HoelderOmega(abs(b), alpha, abs(b * d ** alpha - 1.0))
+    analytic = HoelderOmega(abs(b), alpha)
     solution = a - math.copysign(((1.0 + alpha) * abs(c)) ** (1.0 / (1.0 + alpha)), c)
     return Fixture("scalar_holder", problem, analytic, np.array([solution]))
 
@@ -161,9 +154,9 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
         F1 = x^2 + lin1 x + coup1 y - c1
         F2 = coup2 x + y^2 + lin2 y - c2
 
-    with c chosen so that `root` solves the system and B the exact inverse
-    Jacobian at x0 (so nu = 0).  F' is affine, so the measure is exactly
-    linear: omega(v) = l0 v with l0 = sup ||B 2 diag(h)|| over unit h,
+    with c chosen so that `root` solves the system and B the float inverse
+    Jacobian at x0 (nu = 0 up to rounding).  F' is affine, so the measure
+    is exactly nu + l0 v with l0 = sup ||B 2 diag(h)|| over unit h,
     computable in closed form for each norm.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -195,16 +188,15 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
 
     slope = np.linalg.inv(jac(x0))
     problem = Problem(f=f, jacobian=jac, slope=slope, x0=x0, R=R, norm=norm)
-    analytic = HoelderOmega(_diag_quadratic_l0(slope, norm), 1.0, 0.0)
+    analytic = HoelderOmega(_diag_quadratic_l0(slope, norm), 1.0)
     return Fixture("poly2d", problem, analytic, root.copy())
 
 
 def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
             x0=(0.0, 0.0), R=10.0):
-    """F(x) = A x - b with the exact slope B = A^{-1}: one-step convergence.
+    """F(x) = A x - b with the slope B = A^{-1}: one-step convergence.
 
-    B F'(x) = I everywhere, so the measure is identically zero, and the
-    first step lands on the solution.
+    The measure is the constant ||B A - I||, zero for an exact inverse.
     """
     A = np.asarray(A, dtype=float)
     b_vec = np.asarray(b_vec, dtype=float)
@@ -226,7 +218,7 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
         R=R,
         norm=norm,
     )
-    return Fixture("linear", problem, HoelderOmega(0.0, 1.0, 0.0), solution)
+    return Fixture("linear", problem, HoelderOmega(0.0, 1.0), solution)
 
 
 def _chandrasekhar(norm, c=0.9, n=16, R=None):
@@ -282,17 +274,17 @@ _BUILDERS = {
     "scalar_holder": (
         _scalar_holder,
         "a=0.0 alpha=0.5 c=-0.4 x0=1.0 b=1.0 R=2.0 -- F'(x) = |x-a|^alpha, "
-        "Hoelder but not Lipschitz at a",
+        "Hoelder but not Lipschitz at a; exact growth |b| v^alpha",
     ),
     "poly2d": (
         _poly2d,
         "x0=1.1,0.9 root=1.0,1.0 lin=3.0,4.0 coupling=1.0,-1.0 R=2.0 -- "
-        "dense non-symmetric 2d quadratic system, B = F'(x0)^{-1}",
+        "dense non-symmetric 2d quadratic system, B = F'(x0)^{-1}, growth l0 v",
     ),
     "linear": (
         _linear,
         "A and b_vec via problem-spec file; x0=0.0,0.0 R=10.0 -- "
-        "F(x) = A x - b, slope A^{-1}, one-step convergence",
+        "F(x) = A x - b, slope A^{-1}, constant measure ||B A - I||",
     ),
     "chandrasekhar": (
         _chandrasekhar,

@@ -436,13 +436,9 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
     samples = _whole(samples_per_radius, "samples_per_radius")
 
     n, norm = problem.dim, problem.norm
+    nu, start = nu_at_start(problem)
     # B F'(x) and its norms may overflow or hold nan: _finite_norm raises for them
-    jac = _jacobians(problem, problem.x0[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        start = problem.slope @ jac[0]
-        # a non-finite matrix never reaches the SVD of the two norm
-        nu = matrix_norm(start - np.eye(n), norm) if np.isfinite(start).all() else math.nan
-        nu = _finite_norm(nu, jac, 0.0, norm)
         # direct: the running max starts at nu; centered: nu lifts each knot after the max
         running, lift = (nu, 0.0) if mode == MODE_DIRECT else (0.0, nu)
 
@@ -498,6 +494,18 @@ def eta_at_start(problem):
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
     return eta
+
+
+def nu_at_start(problem):
+    """(||B F'(x0) - I||, B F'(x0)) from one Jacobian: the nu of every majorant model."""
+    n, norm = problem.dim, problem.norm
+    # B F'(x0) and its norm may overflow or hold nan: _finite_norm raises for them
+    jac = _jacobians(problem, problem.x0[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = problem.slope @ jac[0]
+        # a non-finite matrix never reaches the SVD of the two norm
+        nu = matrix_norm(start - np.eye(n), norm) if np.isfinite(start).all() else math.nan
+    return _finite_norm(nu, jac, 0.0, norm), start
 
 
 def estimate_majorant(problem, mode=MODE_CENTERED, radii=None,

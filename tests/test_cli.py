@@ -71,7 +71,7 @@ class TestCertify:
         assert doc["nu"] == 1.0
 
     def test_refusal_evaluates_the_start_once(self, tmp_path, monkeypatch):
-        # nu = |2 b x0 - 1| = 2: the closed form refuses it, no Jacobian is evaluated
+        # nu = |2 b x0 - 1| = 2 is refused: one F for eta and one Jacobian for nu
         calls = {"f": 0, "jacobian": 0}
 
         def counted(key, fn):
@@ -90,7 +90,7 @@ class TestCertify:
         code = run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "b=0.5", "x0=3"])
         assert code == 1
         assert json.loads((tmp_path / "certificate.json").read_text())["nu"] == 2.0
-        assert calls == {"f": 1, "jacobian": 0}
+        assert calls == {"f": 1, "jacobian": 1}
 
     def test_analytic_measure_refuses_a_non_contractive_start(self, tmp_path, monkeypatch):
         argv = ["scalar_quadratic", "b=0.5", "x0=3", "--measure", "analytic"]
@@ -181,6 +181,16 @@ class TestCertify:
         assert run(tmp_path, monkeypatch, ["certify", "scalar_quadratic", "b=1e308"]) == 2
         assert ("error: scalar_quadratic: b=1e+308 overflows its measure's l0 = 2|b|"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scalar_quadratic", "b=1e200", "x0=1e200"], "operator returned non-finite values"),
+        (["scalar_holder", "b=1e308", "x0=4"],
+         "B F'(x) is not finite in the max norm at radius 0.0"),
+    ])
+    def test_overflowing_start_exit_3(self, tmp_path, monkeypatch, capsys, argv, message):
+        assert run(tmp_path, monkeypatch, ["certify", *argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "certificate.json").exists()
 
 
 class TestSolve:

@@ -56,6 +56,15 @@ def test_vector_norms_go_through_the_row_norm_table(kind):
     assert row(x).tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (5, 1, 1), (7, 4, 4), (3, 13, 13), (6, 6)])
+def test_spectral_norms_equal_numpy_norm_bit_for_bit(shape):
+    a = np.random.default_rng(9).standard_normal(shape) * np.logspace(-3, 3, shape[-1])
+    expected = np.linalg.norm(a, 2, axis=(-2, -1))
+    assert matrix_norms(a, "two").tobytes() == expected.tobytes()
+    if a.ndim == 2:
+        assert matrix_norm(a, "two") == float(expected)
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         matrix_norm(np.eye(2), "frobenius")

@@ -1,13 +1,14 @@
 """Bundled fixtures: analytic metadata, solutions, estimator agreement."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from exact_measures import EXACT
 from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
-from fixedslope.errors import BadParameters, UnknownFixture
+from fixedslope.errors import BadParameters, EvaluationFailed, UnknownFixture
 from fixedslope.majorant import HoelderOmega
 from fixedslope.norms import vector_norm, vector_norms
 from fixedslope.problems import analytic_model, build_fixture, fixture_names
@@ -57,15 +58,22 @@ class TestCatalog:
     @pytest.mark.parametrize("name, params, message", [
         ("scalar_quadratic", dict(b=1e308),
          "scalar_quadratic: b=1e+308 overflows its measure's l0 = 2|b|"),
-        ("scalar_quadratic", dict(b=1e200, x0=1e200),
-         "scalar_quadratic: b=1e+200 with x0=1e+200 overflows its measure's nu = |2 b x0 - 1|"),
-        ("scalar_holder", dict(b=1e308, x0=4.0),
-         "scalar_holder: b=1e+308 with x0=4.0 and a=0.0 overflows "
-         "its measure's nu = |b |x0 - a|^alpha - 1|"),
     ])
     def test_overflowing_closed_form_names_its_parameters(self, name, params, message):
         with pytest.raises(BadParameters) as info:
             build_fixture(name, **params)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("scalar_quadratic", dict(b=1e200, x0=1e200), "operator returned non-finite values"),
+        ("scalar_holder", dict(b=1e308, x0=4.0),
+         "B F'(x) is not finite in the max norm at radius 0.0"),
+    ])
+    def test_overflowing_start_fails_at_model_time(self, name, params, message):
+        # nu is no fixture data: the fixture builds, and the model's eta or nu fails
+        fx = build_fixture(name, **params)
+        with np.errstate(all="ignore"), pytest.raises(EvaluationFailed) as info:
+            analytic_model(fx)
         assert str(info.value) == message
 
 
@@ -129,7 +137,7 @@ class TestScalarQuadratic:
         fx = build_fixture("scalar_quadratic")
         assert analytic_model(fx).eta == 0.5
         assert fx.analytic.l0 == 0.5
-        assert fx.analytic.nu == 0.0
+        assert analytic_model(fx).omega.nu == 0.0
         assert fx.known_solution[0] == SQRT2
 
     def test_tangency_variant(self):
@@ -137,11 +145,11 @@ class TestScalarQuadratic:
         fx = build_fixture("scalar_quadratic", x0=1.0, b=0.5)
         assert fx.analytic.l0 == 1.0
         assert analytic_model(fx).eta == 0.5
-        assert fx.analytic.nu == 0.0
+        assert analytic_model(fx).omega.nu == 0.0
 
     def test_non_contractive_start_keeps_its_closed_form(self):
         fx = build_fixture("scalar_quadratic", x0=2.0, b=0.5)  # nu = 1
-        assert fx.analytic == HoelderOmega(1.0, 1.0, 1.0)
+        assert analytic_model(fx).omega == HoelderOmega(1.0, 1.0, 1.0)
         cert = certify(analytic_model(fx))
         assert (cert.reason, cert.nu) == (REASON_NU_TOO_LARGE, 1.0)
 
@@ -174,6 +182,33 @@ class TestLinear:
         with pytest.raises(BadParameters, match=r"^A must be invertible$"):
             build_fixture("linear", A=((1.0, 2.0), (2.0, 4.0)))
 
+    @pytest.mark.parametrize("k", [1e8, 1e12, 1e14, 1e15])
+    def test_ill_conditioned_ball_holds_the_exact_solution(self, k):
+        # B = inv(A) in floats, so nu = ||B A - I|| > 0; with nu = 0 the
+        # certified ball at k = 1e12 missed the solution by 1.8e7
+        rng = np.random.default_rng(3)
+        u, v = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+        A = u @ np.diag([1.0, 1.0, 1.0, 1.0 / k]) @ v.T
+        b_vec = (1.0, 2.0, 3.0, 4.0)
+        fx = build_fixture("linear", A=A, b_vec=b_vec, x0=(0.0,) * 4, R=1e20)
+        cert = certify(analytic_model(fx))
+        assert cert.certified
+        assert Fraction(cert.nu_star) >= max(map(abs, exact_solve(A, b_vec)))
+
+
+def exact_solve(A, b):
+    """The solution of A x = b for the float entries of A and b, in exact rationals."""
+    n = len(b)
+    rows = [[Fraction(a) for a in row] + [Fraction(r)] for row, r in zip(A.tolist(), b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
 
 class TestEtaFromTheProblem:
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
@@ -196,6 +231,29 @@ class TestEtaFromTheProblem:
                 make(fx)
             messages.append(str(info.value))
         assert messages == ["x0 already solves the problem; nothing to certify"] * 2
+
+
+class TestNuFromTheProblem:
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    @pytest.mark.parametrize("name", ["scalar_quadratic", "scalar_holder", "poly2d", "linear"])
+    def test_analytic_nu_is_the_estimators_first_knot(self, name, norm):
+        fx = build_fixture(name, norm=norm)
+        om = estimate_omega(fx.problem, radii=[fx.problem.R], samples_per_radius=1)
+        assert om.knots[0] == (0.0, analytic_model(fx).omega.nu)
+
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_scalar_nu_equals_the_closed_forms(self, norm):
+        # the closed forms the scalar fixtures once stated for nu
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            b = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+            x0, c = rng.uniform(-10.0, 10.0), rng.uniform(0.1, 10.0)
+            fx = build_fixture("scalar_quadratic", norm=norm, c=c, x0=x0, b=b)
+            assert analytic_model(fx).omega.nu == abs(2.0 * b * x0 - 1.0)
+
+            a, alpha, b = rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.95), abs(b)
+            fx = build_fixture("scalar_holder", norm=norm, a=a, alpha=alpha, c=c, x0=x0, b=b)
+            assert analytic_model(fx).omega.nu == abs(b * abs(x0 - a) ** alpha - 1.0)
 
 
 class TestKnownSolutions:
@@ -228,7 +286,7 @@ class TestAnalyticVsEstimate:
         # the Hoelder form nu + l0 v^alpha majorizes the true measure
         for name in ["scalar_quadratic", "scalar_holder", "poly2d"]:
             fx = build_fixture(name)
-            p = fx.analytic
+            p = analytic_model(fx).omega
             for v in np.linspace(0.0, fx.problem.R, 33):
                 bound = p.nu + p.l0 * v ** p.alpha
                 assert EXACT[name](v) <= bound + 1e-12
