@@ -2,11 +2,13 @@
 
 Subcommands: certify, solve, compare, estimate-omega, list-problems.
 Every JSON document (certificate, comparison, solve report) comes from
-_to_doc: "schema": 1, its "kind", then each value under its name, each
-value through _fmt.  Both CSV tables (trace, measure) come from
-_write_csv.  Floats are serialized with their shortest round-trip
-decimal representation, so re-reading a document reproduces the values
-bit for bit.
+_to_doc: "schema": 1, its "kind", then each value under its name.  One
+pass of _encode writes it: exactly the bytes json.dumps(..., indent=2)
+writes for the document with each float as itself ("unbounded" if
+infinite), each tuple or array as a list and each other number as a
+float.  Both CSV tables (trace, measure) come from _write_csv.  Floats
+are serialized with their shortest round-trip decimal representation, so
+re-reading a document reproduces the values bit for bit.
 
 Every document is rewritten in place: the path is opened without
 truncation, written from the start, and a longer old file is cut to the
@@ -32,7 +34,6 @@ top-level parser.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -67,19 +68,47 @@ EXIT_RUNTIME = 3
 DEFAULT_SEED = 0
 
 
-def _fmt(x):
-    """JSON value: a float as itself ("unbounded" if infinite); None, bools, text and ints
-    as they are; a mapping value by value; a tuple, list or array as a list; other numbers
-    as floats."""
-    if isinstance(x, float):  # the common case first
-        return "unbounded" if math.isinf(x) else float(x)
-    if x is None or isinstance(x, (bool, str, int)):
-        return x
+_TEXT = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"inf": '"unbounded"', "-inf": '"unbounded"', "nan": "NaN"}
+
+
+def _encode(x, newline="\n"):
+    """JSON text of x, byte for byte what json.dumps(x, indent=2) writes after this rule:
+
+    a float as itself ("unbounded" if infinite); None, bools, text and ints
+    as they are; a mapping value by value (its keys are text); a tuple, list
+    or array as a list; other numbers as floats.  newline is the line break
+    plus the indentation of the line x starts on.
+    """
+    if isinstance(x, float):  # the common case first; np.float64 is a float
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, str):
+        return _TEXT(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
     if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        items = [_TEXT(k) + ": " + _encode(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(x, (tuple, list, np.ndarray)):
-        return [_fmt(v) for v in x]
-    return _fmt(float(x))
+        if not len(x):
+            return "[]"
+        inner = newline + "  "
+        try:  # all floats, the common case, without a call per item
+            items = [_NON_FINITE.get(text, text) for text in map(float.__repr__, x)]
+        except TypeError:
+            items = [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _encode(float(x), newline)
 
 
 def _write_text(text, path):
@@ -103,7 +132,7 @@ def _write_text(text, path):
 
 
 def _write_json(doc, path):
-    _write_text(json.dumps(doc, indent=2) + "\n", path)
+    _write_text(_encode(doc) + "\n", path)
 
 
 def _write_csv(header, rows, path):
@@ -113,9 +142,10 @@ def _write_csv(header, rows, path):
     _write_text("\n".join(lines) + "\n", path)
 
 
+@functools.cache
 def _doc_fields(cls):
     """Fields in declaration order, each written under its own name; the model never is."""
-    return [f for f in fields(cls) if f.name != "model"]
+    return tuple(f for f in fields(cls) if f.name != "model")
 
 
 def _to_doc(kind, values):
@@ -126,11 +156,12 @@ def _to_doc(kind, values):
     """
     if not isinstance(values, dict):
         values = {f.name: getattr(values, f.name) for f in _doc_fields(type(values))}
-    return {"schema": SCHEMA_VERSION, "kind": kind, **_fmt(values)}
+    return {"schema": SCHEMA_VERSION, "kind": kind, **values}
 
 
 def certificate_to_doc(cert):
-    return _to_doc("certificate", cert)
+    """The certificate document as json.load reads it back."""
+    return json.loads(_encode(_to_doc("certificate", cert)))
 
 
 def read_certificate(path):
@@ -212,7 +243,7 @@ def _obtain_model(fixture, args):
 
 def _cmd_certify(args):
     cert = certify(_obtain_model(_load_fixture(args), args))
-    _write_json(certificate_to_doc(cert), args.out)
+    _write_json(_to_doc("certificate", cert), args.out)
     if cert.certified:
         print(
             f"certified: nu_star={cert.nu_star!r} lambda_star={cert.lambda_star!r} "

@@ -104,9 +104,9 @@ class Problem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "slope", slope)
         n = x0.shape[0]
-        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+        if x0.ndim != 1 or not np.isfinite(x0).all():
             raise BadParameters("x0 must be a finite vector")
-        if slope.shape != (n, n) or not np.all(np.isfinite(slope)):
+        if slope.shape != (n, n) or not np.isfinite(slope).all():
             raise BadParameters(f"slope must be a finite {n}x{n} matrix")
         if not (self.R > 0.0 and math.isfinite(self.R)):
             raise BadParameters(f"R must be finite and > 0, got {self.R}")
@@ -484,13 +484,18 @@ def default_radii(R, num=DEFAULT_NUM_RADII):
 def eta_at_start(problem):
     """||B F(x0)||, the exact first-step norm: the eta of every majorant model.
 
-    eta = 0 is refused with BadParameters: x0 already solves the problem,
-    so there is no ball to certify.
+    A B F(x0) whose norm overflows or is nan raises EvaluationFailed, as
+    nu_at_start does for B F'(x0).  eta = 0 is refused with BadParameters:
+    x0 already solves the problem, so there is no ball to certify.
     """
-    r, _, failed = _eval_rows(problem, problem.x0[None], _ROW_NORMS[problem.norm])
+    norm = problem.norm
+    r, _, failed = _eval_rows(problem, problem.x0[None], _ROW_NORMS[norm])
     if failed:
         raise failed[0]
-    eta = vector_norm(problem.slope @ r[0], problem.norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = vector_norm(problem.slope @ r[0], norm)
+    if not eta < math.inf:
+        raise EvaluationFailed(f"B F(x0) is not finite in the {norm} norm")
     if eta == 0.0:
         raise BadParameters("x0 already solves the problem; nothing to certify")
     return eta

@@ -184,8 +184,12 @@ class TestCertify:
 
     @pytest.mark.parametrize("argv, message", [
         (["scalar_quadratic", "b=1e200", "x0=1e200"], "operator returned non-finite values"),
-        (["scalar_holder", "b=1e308", "x0=4"],
+        (["scalar_holder", "b=1e308", "x0=4"], "B F(x0) is not finite in the max norm"),
+        (["scalar_holder", "b=1e308", "x0=4", "c=-5.3"],
          "B F'(x) is not finite in the max norm at radius 0.0"),
+        (["scalar_quadratic", "c=1e300", "b=1e10"], "B F(x0) is not finite in the max norm"),
+        (["scalar_quadratic", "c=1e300", "b=1e10", "--measure", "centered"],
+         "B F(x0) is not finite in the max norm"),
     ])
     def test_overflowing_start_exit_3(self, tmp_path, monkeypatch, capsys, argv, message):
         assert run(tmp_path, monkeypatch, ["certify", *argv]) == 3

@@ -66,11 +66,14 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name, params, message", [
         ("scalar_quadratic", dict(b=1e200, x0=1e200), "operator returned non-finite values"),
-        ("scalar_holder", dict(b=1e308, x0=4.0),
+        ("scalar_holder", dict(b=1e308, x0=4.0), "B F(x0) is not finite in the max norm"),
+        ("scalar_holder", dict(b=1e308, x0=4.0, c=-5.3),
          "B F'(x) is not finite in the max norm at radius 0.0"),
+        ("scalar_quadratic", dict(c=1e300, b=1e10), "B F(x0) is not finite in the max norm"),
     ])
     def test_overflowing_start_fails_at_model_time(self, name, params, message):
-        # nu is no fixture data: the fixture builds, and the model's eta or nu fails
+        # nu is no fixture data: the fixture builds, and the model's eta or nu fails.
+        # B F(x0) may overflow where F(x0) does not, and B F'(x0) where B F(x0) does not.
         fx = build_fixture(name, **params)
         with np.errstate(all="ignore"), pytest.raises(EvaluationFailed) as info:
             analytic_model(fx)

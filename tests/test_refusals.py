@@ -17,7 +17,13 @@ from fixedslope.cli import main
 from fixedslope.comparison import HoelderParams
 from fixedslope.errors import BadParameters, UnknownFixture
 from fixedslope.majorant import HoelderOmega, MajorantModel, TabulatedOmega
-from fixedslope.problems import analytic_model, build_fixture, fixture_names, fixture_schema
+from fixedslope.problems import (
+    _finite,
+    analytic_model,
+    build_fixture,
+    fixture_names,
+    fixture_schema,
+)
 from fixedslope.solver import Problem, estimate_omega, uniqueness_probe
 
 
@@ -117,3 +123,35 @@ def test_cli_refusals_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+# fixture parameters are checked before any builder runs
+@pytest.mark.parametrize("value", [
+    1.0, -3, 10 ** 300, np.float64(2.5), np.int64(4), np.float32(0.5), [1.0, 2], (0, -1.5),
+    np.eye(2), [[1.0, 0.0], [0.0, 1.0]], [],
+])
+def test_finite_accepts_finite_numbers(value):
+    assert _finite(value)
+
+
+@pytest.mark.parametrize("name, key, value, shown", [
+    ("scalar_quadratic", "c", True, "True"),
+    ("scalar_quadratic", "c", False, "False"),
+    ("scalar_quadratic", "c", np.bool_(True), "np.True_"),
+    ("scalar_quadratic", "c", "2.0", "'2.0'"),
+    ("scalar_quadratic", "c", math.nan, "nan"),
+    ("scalar_quadratic", "c", -math.inf, "-inf"),
+    ("scalar_quadratic", "c", np.float64(math.inf), "np.float64(inf)"),
+    ("scalar_quadratic", "c", 1j, "1j"),
+    ("poly2d", "x0", [1.0, None], "[1.0, None]"),
+    ("poly2d", "x0", [1.0, True], "[1.0, True]"),
+    ("poly2d", "x0", (1.0, math.nan), "(1.0, nan)"),
+    ("poly2d", "x0", np.array([1.0, math.inf]), "array([ 1., inf])"),
+    ("linear", "A", [[1.0, 0.0], [0.0, math.inf]], "[[1.0, 0.0], [0.0, inf]]"),
+    ("linear", "A", [[1.0, "x"], [0.0, 1.0]], "[[1.0, 'x'], [0.0, 1.0]]"),
+    ("linear", "A", np.array([[1.0, math.nan], [0.0, 1.0]]),
+     "array([[ 1., nan],\n       [ 0.,  1.]])"),
+])
+def test_non_finite_parameters_are_refused_naming_their_key(name, key, value, shown):
+    with refused(BadParameters, f"fixture parameter {key!r} must be finite numbers, got {shown}"):
+        build_fixture(name, **{key: value})

@@ -34,6 +34,7 @@ from fixedslope.solver import (
     _sphere_points,
     default_radii,
     estimate_majorant,
+    eta_at_start,
     estimate_omega,
     fsi_solve,
     uniqueness_probe,
@@ -397,6 +398,18 @@ class TestEstimateOmega:
         with pytest.raises(EvaluationFailed) as info:
             estimate_omega(problem, "direct", radii=[0.5])
         assert str(info.value) == f"B F'(x) is not finite in the {norm} norm at radius 0.0"
+
+    @pytest.mark.parametrize("row", [(1e308, 1e308), (1e308, -1e308)], ids=["inf", "nan"])
+    @pytest.mark.parametrize("norm", ["max", "one", "two"])
+    def test_non_finite_eta_raises(self, norm, row):
+        # F(x0) = (2, 2) is finite, B F(x0) is not: eta is refused as nu is, never returned
+        problem = Problem(f=lambda x: np.full_like(x, 2.0), slope=np.array([row, (0.0, 1.0)]),
+                          x0=np.zeros(2), R=1.0, norm=norm)
+        with pytest.raises(EvaluationFailed) as info:
+            eta_at_start(problem)
+        assert str(info.value) == f"B F(x0) is not finite in the {norm} norm"
+        with pytest.raises(EvaluationFailed):
+            estimate_majorant(problem, radii=[1.0])
 
     def test_radii_validation(self):
         fx = build_fixture("scalar_quadratic")
