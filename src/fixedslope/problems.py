@@ -308,11 +308,15 @@ def fixture_schema(name):
 
 def _finite(value):
     """True for a finite number, or a list, tuple or array holding only finite numbers."""
-    if type(value) is float or type(value) is int:  # the common case, before the ABC test
-        return math.isfinite(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return all(map(_finite, np.asarray(value, dtype=object).ravel()))
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        if type(value) is float or type(value) is int:  # the common case, before the ABC test
+            return math.isfinite(value)
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return all(map(_finite, np.asarray(value, dtype=object).ravel()))
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer past the largest float, such as 10**400
+        return False
 
 
 def build_fixture(name, norm="max", **params):

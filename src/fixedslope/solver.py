@@ -12,12 +12,13 @@ radius rho + lambda_star (rho = the start's distance from x0).  F and B
 are each applied to all live rows at once.  The kernel resolves its norm
 once per call, and reads finiteness from the residual norms it needs
 anyway: a nan or inf entry makes its row's norm nan or inf, so only then
-are the residuals scanned, row by row.  The estimator's sphere
-directions are drawn as one stack per radius and the probe's starts as
-one stack per call.  The estimator packs as many whole radii as fit into
-one stack of sampled Jacobians and forms B F'(x), its shift and the
-running max of its norms, radius by radius, in one workspace allocated per
-call, so it never writes into an array the problem's jacobian returned.
+are the residuals scanned, row by row.  The estimator's sphere points
+are drawn for whole stacks of radii at once, each radius with the draws
+it takes alone, and the probe's starts as one stack per call.  The
+estimator packs as many whole radii as fit into one stack of sampled
+Jacobians and forms B F'(x), its shift and the running max of its norms,
+radius by radius, in one workspace allocated per call, so it never writes
+into an array the problem's jacobian returned.
 
 A solve can carry a convergence certificate.  The trust region then
 shrinks to the certified ball: an iterate trying to leave it is a model
@@ -73,7 +74,9 @@ DEFAULT_SAMPLES = 64
 # every stack's B F'(x), its shift and its |.| into one workspace of that
 # size (plus two Gram buffers for the spectral norm), allocated once.  Each
 # stack is reduced once, every radius against the running max, so a matrix
-# that cannot raise its knot is never decomposed.  The uniqueness probe
+# that cannot raise its knot is never decomposed.  The points of as many
+# whole stacks as fit in a quarter of this size (one stack at least) are
+# drawn at once, so most estimates draw once.  The uniqueness probe
 # takes its pairwise differences in blocks of the same size.
 _STACK_FLOATS = 2**16
 
@@ -388,8 +391,13 @@ def _unit_directions(problem, k, rng):
 _SIGNS = np.array([-1.0, 1.0])
 
 
+def _sphere_count(n, norm, samples):
+    """How many points _sphere_points draws for each radius."""
+    return 2 if n == 1 else max(2 * n, samples) if norm == "one" else samples
+
+
 def _sphere_points(problem, radius, samples, rng):
-    """Points on the sphere of the problem norm around x0, as a (k, n) stack.
+    """Points on the spheres of the problem norm around x0, a (k, n) stack per radius.
 
     Dimension 1 has a two-point sphere and is enumerated exactly.  In
     higher dimensions the budget mixes seeded pseudorandom directions
@@ -397,19 +405,31 @@ def _sphere_points(problem, radius, samples, rng):
     convex objective attains its supremum: all 2n signed axis vectors for
     the one norm, random sign corners for the max norm.  The two-norm
     sphere is smooth, so it gets normalized Gaussian directions only.
+    A sequence of radii gives their stacks in turn, each radius with the
+    rng calls it takes alone, so the bits are those of one radius at a
+    time; one normalization, scaling and shift serve them all.
     """
-    n = problem.dim
+    n, norm = problem.dim, problem.norm
+    radii = np.reshape(radius, (-1, 1, 1))
     if n == 1:
-        return problem.x0 + radius * np.array([[-1.0], [1.0]])
-    if problem.norm == "one":
-        extreme = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
-    elif problem.norm == "max":
-        # the draws and the stream of rng.choice([-1.0, 1.0], size), at half its cost
-        extreme = _SIGNS[rng.integers(0, 2, size=((samples + 1) // 2, n))]
+        return (problem.x0 + radii * np.array([[-1.0], [1.0]])).reshape(-1, 1)
+    d = np.empty((len(radii), _sphere_count(n, norm, samples), n))
+    head = 2 * n if norm == "one" else (samples + 1) // 2 if norm == "max" else 0
+    if norm == "one":
+        d[:, :head] = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    if norm == "two":
+        rng.standard_normal(out=d)
     else:
-        extreme = np.empty((0, n))
-    gaussian = _unit_directions(problem, max(0, samples - len(extreme)), rng)
-    return problem.x0 + radius * np.concatenate([extreme, gaussian])
+        for each in d:
+            if norm == "max":
+                # the draws and the stream of rng.choice([-1.0, 1.0], size), at half its cost
+                each[:head] = _SIGNS[rng.integers(0, 2, size=(head, n))]
+            rng.standard_normal(out=each[head:])
+    gaussian = d[:, head:]
+    gaussian /= vector_norms(gaussian, norm)[..., None]
+    d *= radii
+    d += problem.x0
+    return d.reshape(-1, n)
 
 
 def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEFAULT_SAMPLES,
@@ -443,20 +463,19 @@ def estimate_omega(problem, mode=MODE_DIRECT, radii=None, samples_per_radius=DEF
         running, lift = (nu, 0.0) if mode == MODE_DIRECT else (0.0, nu)
 
         rng = np.random.default_rng(seed)
-        drawn = [_sphere_points(problem, radii[0], samples, rng)]
-        count = len(drawn[0])  # every radius draws this many points
+        count = _sphere_count(n, norm, samples)  # points per radius
         chunk = max(1, _STACK_FLOATS // n**2)
         per = max(1, chunk // count)  # whole radii per stack, or one radius in parts
+        draw = per * max(1, _STACK_FLOATS // (4 * per * count * n))  # whole stacks a draw
         work = np.empty((min(chunk, count * min(per, len(radii))), n, n))
         diagonal = work.reshape(len(work), n * n)[:, ::n + 1]
         grams = np.empty((2,) + work.shape) if norm == "two" else None
         knots = [(0.0, nu)] + [None] * len(radii)
         for lo in range(0, len(radii), per):
+            if lo % draw == 0:
+                drawn = _sphere_points(problem, radii[lo:lo + draw], samples, rng)
             group = radii[lo:lo + per]
-            # each radius's points are drawn in order, one stack's worth at a time
-            drawn += [_sphere_points(problem, r, samples, rng) for r in group[len(drawn):]]
-            points = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-            drawn = []
+            points = drawn[lo % draw * count:(lo % draw + len(group)) * count]
             for at in range(0, len(points), chunk):
                 x = points[at:at + chunk]
                 jac = _jacobians(problem, x)

@@ -465,6 +465,8 @@ def test_root_tol_not_an_option(tmp_path, monkeypatch, capsys, argv):
     (["certify", "scalar_quadratic", "c=abc"], "c"),
     (["certify", "chandrasekhar", "n=2.5"], "n"),
     (["certify", "linear", "b_vec=3,x"], "b_vec"),
+    (["certify", "scalar_quadratic", "c=1" + "0" * 400], "c"),  # an int past the floats
+    (["solve", "linear", "b_vec=3,-1" + "0" * 400], "b_vec"),
 ])
 def test_non_finite_fixture_parameter_exit_2(tmp_path, monkeypatch, capsys, argv, key):
     assert run(tmp_path, monkeypatch, argv) == 2

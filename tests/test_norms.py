@@ -8,6 +8,7 @@ import pytest
 
 from fixedslope.norms import (
     _ROW_NORMS,
+    _abs_sums,
     _max_norm_in_place,
     matrix_norm,
     matrix_norms,
@@ -63,6 +64,32 @@ def test_spectral_norms_equal_numpy_norm_bit_for_bit(shape):
     assert matrix_norms(a, "two").tobytes() == expected.tobytes()
     if a.ndim == 2:
         assert matrix_norm(a, "two") == float(expected)
+
+
+def test_one_norm_column_sums_equal_add_reduce_bit_for_bit():
+    # einsum adds each column in row order, as add.reduce over axis -2 does;
+    # magnitudes from 1e-16 to 1e16 make any other order round differently
+    rng = np.random.default_rng(17)
+    for i in range(400):
+        shape = (int(rng.integers(1, 41)),) + (int(rng.integers(1, 71)),) * 2
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-16.0, 16.0, shape)
+        if i % 4 == 1:
+            a.flat[rng.integers(0, a.size, size=3)] = rng.choice([math.nan, math.inf, -math.inf])
+        expected = np.add.reduce(np.abs(a), axis=-2)
+        assert _abs_sums(np.abs(a), "one").tobytes() == expected.tobytes()
+        assert matrix_norms(a, "one").tobytes() == expected.max(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["max", "one"])
+def test_closed_forms_do_not_depend_on_the_memory_layout(kind):
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        a = rng.standard_normal((5, n, n)) * 10.0 ** rng.uniform(-16.0, 16.0, (5, n, n))
+        expected = matrix_norms(a, kind).tobytes()
+        assert matrix_norms(np.asfortranarray(a), kind).tobytes() == expected
+        t = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+        assert matrix_norms(np.swapaxes(t, -1, -2), kind).tobytes() == expected
 
 
 def test_unknown_kind():

@@ -155,3 +155,15 @@ def test_finite_accepts_finite_numbers(value):
 def test_non_finite_parameters_are_refused_naming_their_key(name, key, value, shown):
     with refused(BadParameters, f"fixture parameter {key!r} must be finite numbers, got {shown}"):
         build_fixture(name, **{key: value})
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("scalar_quadratic", "c", 10 ** 400),
+    ("linear", "A", [[1, 10 ** 400], [0, 1]]),
+    ("poly2d", "x0", (1.0, -2 ** 1024)),
+], ids=["scalar", "in_a_nested_list", "negative_in_a_tuple"])
+def test_integers_past_the_floats_are_refused_naming_their_key(name, key, value):
+    # math.isfinite cannot convert them: a refusal, not an OverflowError
+    message = f"fixture parameter {key!r} must be finite numbers, got {value!r}"
+    with refused(BadParameters, message):
+        build_fixture(name, **{key: value})

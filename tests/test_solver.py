@@ -506,13 +506,16 @@ class TestEstimateOmega:
         assert 0 < sum(decomposed) <= 16  # of 128
 
 
-    @pytest.mark.parametrize("samples", [1, 3, 41])  # 3 < 2n <= 38 < 41
+    @pytest.mark.parametrize("samples", [1, 3, 41])  # n > 1: 3 < 2n <= 38 < 41
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
-    @pytest.mark.parametrize("n", [2, 19])
+    @pytest.mark.parametrize("n", [1, 2, 19])
     def test_sphere_points_keep_the_per_direction_stream(self, n, norm, samples):
         # the sampled points, and so every estimate, are those of drawing one
-        # direction at a time: axis vectors, then corners, then Gaussians
+        # direction at a time: axis vectors, then corners, then Gaussians; a
+        # group of radii draws the points of its radii drawn one after another
         def per_direction(problem, radius, rng):
+            if n == 1:  # the two-point sphere, enumerated
+                return problem.x0 + radius * np.array([[-1.0], [1.0]])
             directions = []
             if norm == "one":
                 for j in range(n):
@@ -529,12 +532,19 @@ class TestEstimateOmega:
             return problem.x0 + radius * np.array(directions)
 
         problem = build_fixture("chandrasekhar", n=n, norm=norm).problem
-        old, new = np.random.default_rng(11), np.random.default_rng(11)
-        for radius in (0.25, 0.5, 1.0):
+        radii = (0.25, 0.5, 1.0)
+        old, new, grouped = (np.random.default_rng(11) for _ in range(3))
+        drawn = []
+        for radius in radii:
             expected = per_direction(problem, radius, old)
             points = _sphere_points(problem, radius, samples, new)
             assert points.shape == expected.shape
             assert points.tobytes() == expected.tobytes()
+            drawn.append(points)
+        group = _sphere_points(problem, radii, samples, grouped)
+        assert group.shape == (sum(map(len, drawn)), n)
+        assert group.tobytes() == np.concatenate(drawn).tobytes()
+        assert grouped.bit_generator.state == new.bit_generator.state
 
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 5), (32, 8), (7, 57)])
@@ -609,6 +619,26 @@ class TestEstimatorWorkspace:
             om = estimate_omega(problem, mode, radii=radii, samples_per_radius=samples,
                                 seed=seed)
             assert om.knots == fresh_array_omega(problem, mode, radii, samples, seed)
+
+    @pytest.mark.parametrize("norm, n, samples, num_radii, sizes", [
+        ("max", 57, 16, 8, [8]),  # one radius a stack, all eight drawn at once
+        ("one", 29, 16, 8, [8]),  # 58 points a radius: the 2n axis vectors
+        ("max", 15, 64, 24, [16, 8]),  # four radii a stack, four stacks a draw
+        ("two", 57, 320, 4, [1, 1, 1, 1]),  # a radius's points pass a quarter stack
+    ])
+    def test_sphere_points_drawn_for_whole_stacks(self, monkeypatch, norm, n, samples,
+                                                  num_radii, sizes):
+        drawn = []
+
+        def counting(problem, radius, samples, rng):
+            drawn.append(np.size(radius))
+            return _sphere_points(problem, radius, samples, rng)
+
+        problem = build_fixture("chandrasekhar", n=n, norm=norm).problem
+        monkeypatch.setattr(solver, "_sphere_points", counting)
+        estimate_omega(problem, "direct", radii=default_radii(problem.R, num_radii),
+                       samples_per_radius=samples, seed=0)
+        assert drawn == sizes
 
     @pytest.mark.parametrize("mode", ["direct", "centered"])
     @pytest.mark.parametrize("norm", ["max", "one", "two"])
