@@ -9,9 +9,10 @@ hold, packages the radii that the iteration theory guarantees a priori:
                    whether the ball is closed or open is part of the claim
     gamma_star     radius on which the majorant slope stays below 1
 
-Every radius, nu = omega(0) and the nu_star_needed of a radius_too_small
-refusal come from majorant.analyze, and so does the nu_too_large refusal
-(its NuNotContractive); no closed form decides a certificate.
+A certificate or refusal is built from one majorant.analyze: its radii,
+nu = omega(0), nu_star_needed and the refusal reason are the analysis's,
+and so is the nu_too_large refusal (its NuNotContractive); no closed
+form decides a certificate.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from . import majorant
 from .errors import NuNotContractive
 from .majorant import BOUNDARY_CLOSED, BOUNDARY_OPEN, MajorantModel  # noqa: F401 (re-exported)
+from .majorant import REASON_CONSTRAINT_A, REASON_RADIUS_TOO_SMALL  # noqa: F401 (re-exported)
 
 PREVIEW_TERMS = 16
 
@@ -27,8 +29,6 @@ STATUS_CERTIFIED = "certified"
 STATUS_NOT_CERTIFIED = "not_certified"
 
 REASON_NU_TOO_LARGE = "nu_too_large"
-REASON_CONSTRAINT_A = "constraint_a_fails"
-REASON_RADIUS_TOO_SMALL = "radius_too_small"
 
 
 @dataclass(frozen=True)
@@ -71,24 +71,9 @@ def certify(model):
     except NuNotContractive as exc:
         return ConvergenceCertificate(STATUS_NOT_CERTIFIED, REASON_NU_TOO_LARGE, exc.nu,
                                       model.eta, model.R, model=model)
-    if roots.nu_star is None:
-        needed = roots.nu_star_needed
-        reason = REASON_CONSTRAINT_A if needed is None else REASON_RADIUS_TOO_SMALL
-        return ConvergenceCertificate(STATUS_NOT_CERTIFIED, reason, roots.nu, model.eta, model.R,
-                                      gamma_star=roots.gamma_star, nu_star_needed=needed,
-                                      model=model)
+    if roots.reason is not None:
+        return ConvergenceCertificate(STATUS_NOT_CERTIFIED, roots.reason, eta=model.eta,
+                                      R=model.R, model=model, **vars(roots))
     preview = itertools.islice(majorant.majorizing_terms(model), PREVIEW_TERMS)
-    return ConvergenceCertificate(
-        status=STATUS_CERTIFIED,
-        reason=None,
-        nu=roots.nu,
-        eta=model.eta,
-        R=model.R,
-        nu_star=roots.nu_star,
-        nu_star_star=roots.nu_star_star,
-        gamma_star=roots.gamma_star,
-        lambda_star=roots.lambda_star,
-        uniqueness_boundary=roots.uniqueness_boundary,
-        scalar_sequence=tuple(preview),
-        model=model,
-    )
+    return ConvergenceCertificate(STATUS_CERTIFIED, None, eta=model.eta, R=model.R,
+                                  scalar_sequence=tuple(preview), model=model, **vars(roots))

@@ -12,8 +12,8 @@ Three conditions are compared on the same Hoelder data (l0, alpha, nu, eta):
     (Lipschitz case alpha = 1, nu = 0 only), which there is the majorant
     condition itself.
 
-Whether a condition holds is certify's verdict on its model, read from
-one majorant.analyze per side.  The closed form of the condition,
+Whether a condition holds is read from the reason of one
+majorant.analyze per side, as certify reads it.  The closed form,
 
     l0 * eta**alpha <= (1 - nu)**(alpha + 1) * (alpha / (1 + alpha))**alpha
 
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from . import majorant
-from .majorant import ROOT_TOL, HoelderOmega, MajorantModel
+from .majorant import REASON_CONSTRAINT_A, ROOT_TOL, HoelderOmega, MajorantModel
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,13 @@ def _rival_params(p, delta=None):
 
 
 def _side(params, R):
-    """(holds, roots): certify's verdict on a side's model, and its root analysis.
+    """(holds, roots): a side holds unless its root analysis refuses constraint_a_fails.
 
-    A side holds when certify would certify it or refuse it only for R
-    (radius_too_small); a Hoelder omega(0) = nu is always below 1.
+    A refusal only for R (radius_too_small) holds, as for certify; a
+    Hoelder omega(0) = nu is always below 1.
     """
     roots = majorant.analyze(params.model(R))
-    return roots.nu_star is not None or roots.nu_star_needed is not None, roots
+    return roots.reason != REASON_CONSTRAINT_A, roots
 
 
 @dataclass(frozen=True)

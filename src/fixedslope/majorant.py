@@ -37,8 +37,9 @@ the root is read off at gamma_star directly.  ROOT_TOL is the one
 tangency tolerance: a minimum within ROOT_TOL * max(eta, gamma_star), the
 terms g(gamma_star) is computed from, of zero counts as a double root,
 which absorbs rounding at eta = eta_max at every scale.  analyze()
-computes all three radii in one pass: certify and compare_report take
-every radius and every "has a root" verdict from it, and
+computes all three radii in one pass, and its reason is the one verdict
+on them: certify builds every certificate and refusal from the analysis,
+compare_report reads each side's verdict from reason, and
 verify_majorization runs only its minimal-root half, _left_bracket.  It
 reads nu = omega(0) once, refuses nu >= 1 with NuNotContractive and
 returns nu with the radii: the one nu >= 1 test that decides a
@@ -58,6 +59,9 @@ ROOT_TOL = 1e-12
 
 BOUNDARY_CLOSED = "closed"  # case B1
 BOUNDARY_OPEN = "open"  # case B2
+
+REASON_CONSTRAINT_A = "constraint_a_fails"
+REASON_RADIUS_TOO_SMALL = "radius_too_small"
 
 # Cap on the evaluations of g in each phase of _root: even halving [0, hi]
 # onto a root r takes only about log2(hi / r) + 53 steps, below this cap
@@ -277,8 +281,8 @@ class RootAnalysis:
     when g has no root on [0, R], and then so are the other radii;
     nu_star_star is None when the maximal root lies beyond R;
     uniqueness_boundary is BOUNDARY_CLOSED (the paper's case B1) or
-    BOUNDARY_OPEN (case B2), and certify copies it.  nu_star_needed is
-    set only without nu_star: the root past R, if any.
+    BOUNDARY_OPEN (case B2).  nu_star_needed is set only without
+    nu_star: the root past R, if any.  Each field is a certificate field.
     """
 
     nu: float
@@ -288,6 +292,13 @@ class RootAnalysis:
     lambda_star: float | None
     uniqueness_boundary: str | None
     nu_star_needed: float | None = None
+
+    @property
+    def reason(self):
+        """None if g has a root on [0, R], radius_too_small past R, else constraint_a_fails."""
+        if self.nu_star is not None:
+            return None
+        return REASON_CONSTRAINT_A if self.nu_star_needed is None else REASON_RADIUS_TOO_SMALL
 
 
 def _nu(model):

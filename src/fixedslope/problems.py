@@ -202,6 +202,8 @@ def _linear(norm, A=((2.0, 1.0), (1.0, 3.0)), b_vec=(3.0, 4.0),
     b_vec = np.asarray(b_vec, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     R = float(R)
+    if x0.ndim != 1:
+        raise BadParameters(f"x0 must be a vector, got shape {x0.shape}")
     n = x0.shape[0]
     if A.shape != (n, n) or b_vec.shape != (n,):
         raise BadParameters("A must be n x n and b_vec length n")

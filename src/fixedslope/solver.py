@@ -230,14 +230,15 @@ def _iterate(problem, starts, balls, stop, trace=None):
     """Run x <- x - B F(x) from every row of starts at once.
 
     Row i keeps to the ball of radius balls[i] around starts[i] and stops
-    on its own.  At each iterate the rules win in this order: a failed F
-    evaluation, step_tol, residual_tol, max_iter; then left_ball, judged
-    on the step from it (the iterate that would leave is not taken).  B
-    is applied to all live rows with one stacked mat-vec and the norm,
-    resolved once per call, is one batched reduction per use.  Each step
-    tests the smallest step and residual norms first; the stop masks and
-    reasons are built, and rows dropped, only on steps where some row
-    stops.  A non-finite residual is read from its norm (see _eval_rows).
+    on its own.  One block judges every rule at an iterate, in this order:
+    a failed F evaluation, step_tol, residual_tol, max_iter (which stops
+    every live row); then left_ball is judged on the step from it (the
+    iterate that would leave is not taken).  B is applied to all live rows
+    with one stacked mat-vec and the norm, resolved once per call, is one
+    batched reduction per use.  Each step tests the smallest step and
+    residual norms first; the stop masks and reasons are built, and rows
+    dropped, only on steps where some row stops.  A non-finite residual is
+    read from its norm (see _eval_rows).
     Returns (limits, reasons, failures): each row's last iterate, its stop
     reason, and {row: EvaluationFailed} for the rows whose evaluation
     failed (their reason stays None).  A trace gets the iterates and norms
@@ -257,16 +258,19 @@ def _iterate(problem, starts, balls, stop, trace=None):
         trace.residual_norms.append(float(rn[0]))
     steps = 0
     while True:
+        last = steps >= stop.max_iter
         # fmin skips a nan norm, so a row that stops is never hidden by another's nan
-        if (failed or np.fmin.reduce(sn) <= tol_step
+        if (last or failed or np.fmin.reduce(sn) <= tol_step
                 or np.fmin.reduce(rn) <= tol_residual):
-            step_done = sn <= tol_step
-            done = step_done | (rn <= tol_residual)
+            step_done, residual_done = sn <= tol_step, rn <= tol_residual
+            done = step_done | residual_done
+            done |= last
             for i, exc in failed.items():
                 failures[int(rows[i])] = exc
                 done[i] = False
             for i in np.flatnonzero(done):
-                reasons[rows[i]] = STOP_STEP_TOL if step_done[i] else STOP_RESIDUAL_TOL
+                reasons[rows[i]] = (STOP_STEP_TOL if step_done[i] else
+                                    STOP_RESIDUAL_TOL if residual_done[i] else STOP_MAX_ITER)
             limits[rows[done]] = x[done]
             keep = ~done
             keep[list(failed)] = False
@@ -274,11 +278,6 @@ def _iterate(problem, starts, balls, stop, trace=None):
                 a[keep] for a in (x, r, sn, centers, reach, rows))
             if not rows.size:
                 break
-        if steps >= stop.max_iter:
-            limits[rows] = x
-            for i in rows:
-                reasons[i] = STOP_MAX_ITER
-            break
         x_next = x - np.matmul(slope, r[..., None])[..., 0]
         sn = row_norm(x_next - x)
         left = row_norm(x_next - centers) > reach
@@ -380,12 +379,6 @@ def verify_majorization(trace, model):
         step_slacks=step_slacks,
         tail_slacks=tail_slacks,
     )
-
-
-def _unit_directions(problem, k, rng):
-    """k seeded Gaussian directions of unit length in the problem norm, as a (k, n) stack."""
-    d = rng.standard_normal((k, problem.dim))
-    return d / vector_norms(d, problem.norm)[:, None]
 
 
 _SIGNS = np.array([-1.0, 1.0])
@@ -569,9 +562,10 @@ class UniquenessReport:
 def _probe_starts(problem, lambda_star, num_starts, seed):
     """x0, then num_starts - 1 seeded points uniform inside radius lambda_star * (1 - 1e-6)."""
     rng = np.random.default_rng(seed)
-    directions = _unit_directions(problem, num_starts - 1, rng)
+    d = rng.standard_normal((num_starts - 1, problem.dim))
+    d /= vector_norms(d, problem.norm)[:, None]  # Gaussian directions of unit norm
     radii = lambda_star * (1.0 - 1e-6) * rng.random(num_starts - 1) ** (1.0 / problem.dim)
-    return np.concatenate([problem.x0[None], problem.x0 + radii[:, None] * directions])
+    return np.concatenate([problem.x0[None], problem.x0 + radii[:, None] * d])
 
 
 def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None):

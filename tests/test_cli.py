@@ -491,11 +491,15 @@ def test_bad_compare_parameter_named_exit_2(tmp_path, monkeypatch, capsys, param
     assert not any(tmp_path.iterdir())
 
 
-def test_singular_matrix_spec_file_exit_2(tmp_path, monkeypatch, capsys):
-    spec = {"fixture": "linear", "params": {"A": [[1, 2], [2, 4]]}}
+@pytest.mark.parametrize("params, message", [
+    ({"A": [[1, 2], [2, 4]]}, "A must be invertible"),
+    ({"x0": 0}, "x0 must be a vector, got shape ()"),
+], ids=["singular_A", "scalar_x0"])
+def test_singular_matrix_spec_file_exit_2(tmp_path, monkeypatch, capsys, params, message):
+    spec = {"fixture": "linear", "params": params}
     (tmp_path / "prob.json").write_text(json.dumps(spec))
     assert run(tmp_path, monkeypatch, ["certify", "prob.json"]) == 2
-    assert capsys.readouterr().err == "error: A must be invertible\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["prob.json"]
 
 

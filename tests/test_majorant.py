@@ -4,6 +4,7 @@ Expected values are frozen from independent oracles: closed-form
 quadratics for alpha = 1, dense grid scans of g for everything else.
 """
 
+import dataclasses
 import itertools
 import math
 from functools import partial
@@ -17,6 +18,7 @@ from fixedslope.certificate import (
     REASON_CONSTRAINT_A,
     REASON_NU_TOO_LARGE,
     REASON_RADIUS_TOO_SMALL,
+    ConvergenceCertificate,
     certify,
 )
 from fixedslope.comparison import HoelderParams
@@ -230,8 +232,15 @@ class TestOmegaMeasures:
             cert = certify(MajorantModel(eta=eta, R=R, omega=measure))
             reasons.add(cert.reason)
             assert measure.at_zero == 1, (eta, R, inner)
+            if cert.reason != REASON_NU_TOO_LARGE:
+                # the analysis names the verdict certify gives, on a fresh measure
+                roots = analyze(MajorantModel(eta=eta, R=R, omega=CountingMeasure(inner)))
+                assert roots.reason == cert.reason, (eta, R, inner)
         assert reasons == {None, REASON_RADIUS_TOO_SMALL, REASON_CONSTRAINT_A,
                            REASON_NU_TOO_LARGE}
+        # certify builds every certificate from the analysis's fields
+        cert_fields = {f.name for f in dataclasses.fields(ConvergenceCertificate)}
+        assert {f.name for f in dataclasses.fields(RootAnalysis)} <= cert_fields
 
 
 class TestPhiAndG:

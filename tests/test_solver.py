@@ -161,10 +161,12 @@ class TestFsiSolve:
         assert trace.stop_reason == "left_ball"
         assert x.tobytes() == trace.iterates[-1].tobytes()
 
-    def test_step_tol_wins_over_residual_tol_on_one_step(self):
+    # at max_iter = 1 the run converges at its last allowed iterate: step_tol still wins
+    @pytest.mark.parametrize("max_iter", [10000, 1])
+    def test_step_tol_wins_over_residual_tol_on_one_step(self, max_iter):
         # F(x) = x - 1, B = 1/2: the first step is 7.5e-4 and leaves a residual of 7.5e-4
         p = Problem(f=lambda x: x - 1.0, slope=np.array([[0.5]]), x0=np.array([1.0015]), R=1.0)
-        _, trace = fsi_solve(p, StoppingRule(tol_step=1e-3, tol_residual=1e-3))
+        _, trace = fsi_solve(p, StoppingRule(tol_step=1e-3, tol_residual=1e-3, max_iter=max_iter))
         assert trace.num_steps == 1
         assert trace.residual_norms[-1] <= 1e-3
         assert trace.stop_reason == "step_tol"
