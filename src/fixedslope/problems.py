@@ -8,17 +8,17 @@ nu_at_start), as in the estimator.  That makes certificates, traces and
 the measure estimator checkable against hand-computable values.
 
 Operators act on the last axis, so they take a point or a stack alike.
-They run once per iteration step, so they keep their coefficients as
-Python floats (a numpy scalar operand costs more per call and gives the
-same bits) and write their components into one output array.
+They run once per iteration step, so each is a few whole-stack numpy
+calls, with scalar coefficients kept as Python floats (a numpy scalar
+operand costs more per call and gives the same bits).
 Fixture builders may invert a small dense matrix to construct the slope
 (the classic choice B = F'(x0)^{-1}); the solver never inverts anything.
 """
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -79,11 +79,6 @@ def _scalar_quadratic(norm, c=2.0, x0=2.0, b=0.25, R=10.0):
     return Fixture("scalar_quadratic", problem, analytic, np.array([solution]))
 
 
-# Python's float power, element by element: numpy's SIMD power can differ
-# from it in the last bit, and only on some CPUs.
-_POW = np.frompyfunc(operator.pow, 2, 1)
-
-
 def _pow_or_inf(base, exponent):
     try:
         return base ** exponent
@@ -91,19 +86,19 @@ def _pow_or_inf(base, exponent):
         return math.inf
 
 
-_POW_OR_INF = np.frompyfunc(_pow_or_inf, 2, 1)
-
-
 def _float_power(base, exponent):
     """Python's float base ** exponent for every entry of base >= 0, inf where it overflows.
 
+    numpy's SIMD power can differ from it in the last bit, on some CPUs.
     Python raises OverflowError where numpy returns inf, so a stack with
     an overflowing entry is redone element by element, with inf there.
     """
+    values = base.ravel().tolist()
     try:
-        return np.asarray(_POW(base, exponent), dtype=float)
+        out = np.fromiter(map(pow, values, repeat(exponent)), float, len(values))
     except OverflowError:
-        return np.asarray(_POW_OR_INF(base, exponent), dtype=float)
+        out = np.fromiter(map(_pow_or_inf, values, repeat(exponent)), float, len(values))
+    return out.reshape(base.shape)
 
 
 def _scalar_holder(norm, a=0.0, alpha=0.5, c=-0.4, x0=1.0, b=1.0, R=2.0):
@@ -173,12 +168,12 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
     c0 = r0 * r0 + l0 * r0 + k0 * r1
     c1 = k1 * r0 + r1 * r1 + l1 * r1
 
+    # F1 = (u*u + u*l0) + v*k0 - c0 and F2 = (v*v + u*k1) + v*l1 - c1: the roundings
+    # of the formulas above, with only commutative operands swapped
+    by_u, by_v, c = np.array([l0, k1]), np.array([k0, l1]), np.array([c0, c1])
+
     def f(x):
-        u, v = x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
-        out[..., 0] = u * u + l0 * u + k0 * v - c0
-        out[..., 1] = k1 * u + v * v + l1 * v - c1
-        return out
+        return x * x + x[..., :1] * by_u + x[..., 1:] * by_v - c
 
     constant = np.array([[l0, k0], [k1, l1]])
     eye = np.eye(2)
@@ -186,7 +181,10 @@ def _poly2d(norm, x0=(1.1, 0.9), root=(1.0, 1.0), lin=(3.0, 4.0),
     def jac(x):
         return constant + 2.0 * x[..., None, :] * eye
 
-    slope = np.linalg.inv(jac(x0))
+    try:
+        slope = np.linalg.inv(jac(x0))
+    except np.linalg.LinAlgError:
+        raise BadParameters(f"x0 must make F'(x0) invertible, got x0={x0.tolist()}") from None
     problem = Problem(f=f, jacobian=jac, slope=slope, x0=x0, R=R, norm=norm)
     analytic = HoelderOmega(_diag_quadratic_l0(slope, norm), 1.0)
     return Fixture("poly2d", problem, analytic, root.copy())

@@ -10,7 +10,8 @@ its own trust ball and its own stop: fsi_solve is its one-row case, and
 uniqueness_probe runs all its starts together as rows, each with trust
 radius rho + lambda_star (rho = the start's distance from x0).  F and B
 are each applied to all live rows at once.  The kernel resolves its norm
-once per call, and reads finiteness from the residual norms it needs
+once per call, takes each step's norms and ball distances in one
+reduction, and reads finiteness from the residual norms it needs
 anyway: a nan or inf entry makes its row's norm nan or inf, so only then
 are the residuals scanned, row by row.  The estimator's sphere points
 are drawn for whole stacks of radii at once, each radius with the draws
@@ -140,6 +141,10 @@ class StoppingRule:
         _whole(self.max_iter, "max_iter")
 
 
+# The rule of a solve or probe given none: frozen, so one instance serves every call.
+_DEFAULT_STOP = StoppingRule()
+
+
 @dataclass
 class IterationTrace:
     """Recorded run of the iteration.
@@ -234,11 +239,13 @@ def _iterate(problem, starts, balls, stop, trace=None):
     a failed F evaluation, step_tol, residual_tol, max_iter (which stops
     every live row); then left_ball is judged on the step from it (the
     iterate that would leave is not taken).  B is applied to all live rows
-    with one stacked mat-vec and the norm, resolved once per call, is one
-    batched reduction per use.  Each step tests the smallest step and
-    residual norms first; the stop masks and reasons are built, and rows
-    dropped, only on steps where some row stops.  A non-finite residual is
-    read from its norm (see _eval_rows).
+    with one stacked mat-vec.  The norm is resolved once per call; one
+    reduction over a (2, S, n) buffer, written in place each step, gives
+    every row's step norm and its distance from its center.  Each step
+    tests the smallest step and residual norms first; the stop masks and
+    reasons are built, and rows dropped, only on steps where some row
+    stops, and only the arrays read again are compacted.  A non-finite
+    residual is read from its norm (see _eval_rows).
     Returns (limits, reasons, failures): each row's last iterate, its stop
     reason, and {row: EvaluationFailed} for the rows whose evaluation
     failed (their reason stays None).  A trace gets the iterates and norms
@@ -253,6 +260,7 @@ def _iterate(problem, starts, balls, stop, trace=None):
     x, centers, reach = starts, starts, balls + _SLACK
     r, rn, failed = _eval_rows(problem, x, row_norm)
     sn = np.full(len(starts), np.inf)
+    work = diff = np.empty((2,) + starts.shape)  # x_next - x and x_next - centers
     if trace is not None:
         trace.iterates.append(x[0])
         trace.residual_norms.append(float(rn[0]))
@@ -265,31 +273,38 @@ def _iterate(problem, starts, balls, stop, trace=None):
             step_done, residual_done = sn <= tol_step, rn <= tol_residual
             done = step_done | residual_done
             done |= last
-            for i, exc in failed.items():
-                failures[int(rows[i])] = exc
-                done[i] = False
-            for i in np.flatnonzero(done):
-                reasons[rows[i]] = (STOP_STEP_TOL if step_done[i] else
-                                    STOP_RESIDUAL_TOL if residual_done[i] else STOP_MAX_ITER)
-            limits[rows[done]] = x[done]
             keep = ~done
-            keep[list(failed)] = False
-            x, r, sn, centers, reach, rows = (
-                a[keep] for a in (x, r, sn, centers, reach, rows))
+            if failed:
+                for i, exc in failed.items():
+                    failures[int(rows[i])] = exc
+                dropped = list(failed)
+                done[dropped] = keep[dropped] = False
+            stopped = rows[done]
+            limits[stopped] = x[done]
+            for i, s, res in zip(stopped.tolist(), step_done[done].tolist(),
+                                 residual_done[done].tolist()):
+                reasons[i] = STOP_STEP_TOL if s else STOP_RESIDUAL_TOL if res else STOP_MAX_ITER
+            # sn is not compacted: the next step overwrites it before it is read
+            x, r, centers, reach, rows = (a[keep] for a in (x, r, centers, reach, rows))
             if not rows.size:
                 break
+            diff = work[:, :len(rows)]
         x_next = x - np.matmul(slope, r[..., None])[..., 0]
-        sn = row_norm(x_next - x)
-        left = row_norm(x_next - centers) > reach
+        np.subtract(x_next, x, out=diff[0])
+        np.subtract(x_next, centers, out=diff[1])
+        norms = row_norm(diff)
+        sn, left = norms[0], norms[1] > reach
         if np.count_nonzero(left):
-            limits[rows[left]] = x[left]
-            for i in rows[left]:
+            leaving = rows[left]
+            limits[leaving] = x[left]
+            for i in leaving.tolist():
                 reasons[i] = STOP_LEFT_BALL
             keep = ~left
             x_next, sn, centers, reach, rows = (
                 a[keep] for a in (x_next, sn, centers, reach, rows))
             if not rows.size:
                 break
+            diff = work[:, :len(rows)]
         x = x_next
         r, rn, failed = _eval_rows(problem, x, row_norm)
         steps += 1
@@ -307,7 +322,7 @@ def fsi_solve(problem, stop=None, cert=None):
     min(R, nu_star); a refused one raises NotCertifiedError.  Reaching
     max_iter is a stop reason, not an error.
     """
-    stop = stop or StoppingRule()
+    stop = stop or _DEFAULT_STOP
     ball = problem.R
     if cert is not None:
         if not cert.certified:
@@ -591,7 +606,7 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
 
     starts = _probe_starts(problem, cert.lambda_star, num_starts, seed)
     balls = vector_norms(starts - problem.x0, problem.norm) + cert.lambda_star
-    ends, reasons, errors = _iterate(problem, starts, balls, stop or StoppingRule())
+    ends, reasons, errors = _iterate(problem, starts, balls, stop or _DEFAULT_STOP)
     limits = []
     failures = []
     for i, reason in enumerate(reasons):
@@ -606,12 +621,12 @@ def uniqueness_probe(problem, cert, num_starts=100, seed=0, tol=1e-8, stop=None)
     # block holds at most _STACK_FLOATS floats (one row at least).  ||a - b||
     # == ||b - a|| and the diagonal is 0, so the max equals that of the pair
     # loop bit for bit.
-    max_dist = 0.0
+    max_dist, row_norm = 0.0, _ROW_NORMS[problem.norm]
     stacked = np.array(limits)
     block = max(1, _STACK_FLOATS // max(1, stacked.size))
     for lo in range(0, len(limits) - 1, block):
-        dists = vector_norms(stacked[lo:lo + block, None] - stacked[None, lo:], problem.norm)
-        max_dist = max(max_dist, float(dists.max()))
+        dists = row_norm(stacked[lo:lo + block, None] - stacked[None, lo:])
+        max_dist = max(max_dist, float(np.maximum.reduce(dists, axis=None)))
     return UniquenessReport(
         passed=not failures and max_dist <= tol,
         max_pairwise_distance=max_dist,

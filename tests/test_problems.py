@@ -1,6 +1,7 @@
 """Bundled fixtures: analytic metadata, solutions, estimator agreement."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from fixedslope.certificate import REASON_NU_TOO_LARGE, certify
 from fixedslope.errors import BadParameters, EvaluationFailed, UnknownFixture
 from fixedslope.majorant import HoelderOmega
 from fixedslope.norms import vector_norm, vector_norms
-from fixedslope.problems import analytic_model, build_fixture, fixture_names
+from fixedslope.problems import _float_power, analytic_model, build_fixture, fixture_names
 from fixedslope.solver import (
     StoppingRule,
     estimate_majorant,
@@ -133,6 +134,23 @@ class TestOperatorFormulas:
             f = problem.f(x)
         assert f[:2, 0].tolist() == [math.inf, -math.inf]
         assert f[2:].tobytes() == problem.f(x[2:]).tobytes()
+
+
+    @pytest.mark.parametrize("exponent", [1.5, 0.37, 1.999, 2.0])
+    def test_float_power_is_operator_pow(self, exponent):
+        tiny = 5e-324  # the smallest subnormal
+        values = [0.0, tiny, 3 * tiny, 2.2e-308, 1e-200, 0.5, 1.0, 2.0, 1e10, 1e300,
+                  math.inf, math.nan]
+        base = np.array(values).reshape(3, 4)
+        got = _float_power(base, exponent)
+        assert got.shape == base.shape
+        for value, power in zip(values, got.ravel().tolist()):
+            try:
+                want = operator.pow(value, exponent)
+            except OverflowError:  # 1e300 past exponent 1: that entry alone reads inf
+                want = math.inf
+            assert math.isnan(want) if math.isnan(power) else power == want
+            assert math.copysign(1.0, power) == math.copysign(1.0, want)
 
 
 class TestScalarQuadratic:

@@ -100,8 +100,11 @@ class TestFixtures:
          "A must be n x n and b_vec length n"),
         ("linear", dict(A=[[2.0]], b_vec=[3.0], x0=0.0), "x0 must be a vector, got shape ()"),
         ("chandrasekhar", dict(n=65), "n must be between 1 and 64 at desk scale"),
+        ("poly2d", dict(x0=(-1.0, -2.5)),
+         "x0 must make F'(x0) invertible, got x0=[-1.0, -2.5]"),
     ], ids=["holder_alpha_one", "holder_b_zero", "poly2d_x0_triple", "linear_A_3x3",
-            "linear_b_vec_pair_for_n3", "linear_scalar_x0", "chandrasekhar_n65"])
+            "linear_b_vec_pair_for_n3", "linear_scalar_x0", "chandrasekhar_n65",
+            "poly2d_singular_x0"])
     def test_builder_refusals(self, name, params, message):
         with refused(BadParameters, message):
             build_fixture(name, **params)
@@ -118,8 +121,10 @@ class TestFixtures:
     (["compare", "l0=-1", "eta=0.1"], "l0 must be finite and >= 0, got -1.0"),
     (["certify", "linear", "x0=0"], "x0 must be a vector, got shape ()"),
     (["solve", "linear", "x0=0"], "x0 must be a vector, got shape ()"),
+    (["certify", "poly2d", "x0=-1,-2.5", "--out", "certificate.json"],
+     "x0 must make F'(x0) invertible, got x0=[-1.0, -2.5]"),
 ], ids=["certify_analytic_without_data", "compare_unknown_key", "compare_negative_l0",
-        "certify_linear_scalar_x0", "solve_linear_scalar_x0"])
+        "certify_linear_scalar_x0", "solve_linear_scalar_x0", "certify_poly2d_singular_x0"])
 def test_cli_refusals_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

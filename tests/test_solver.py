@@ -161,6 +161,34 @@ class TestFsiSolve:
         assert trace.stop_reason == "left_ball"
         assert x.tobytes() == trace.iterates[-1].tobytes()
 
+    @pytest.mark.parametrize("norm", norms.NORM_KINDS)
+    @pytest.mark.parametrize("name", ["scalar_quadratic", "scalar_holder", "poly2d", "linear",
+                                      "chandrasekhar"])
+    def test_step_norms_are_the_norms_of_the_steps(self, name, norm):
+        # the kernel takes the step norms and the ball distances in one reduction
+        _, trace = fsi_solve(build_fixture(name, norm=norm).problem)
+        assert trace.converged and trace.num_steps >= 1
+        for k, step in enumerate(trace.step_norms):
+            assert step == vector_norm(trace.iterates[k + 1] - trace.iterates[k], norm)
+
+    @pytest.mark.parametrize("norm", norms.NORM_KINDS)
+    @pytest.mark.parametrize("name", ["scalar_quadratic", "poly2d"])
+    def test_left_ball_stops_where_the_ball_test_does(self, name, norm):
+        # the negated slope pushes every step away from the root until one would leave
+        problem = build_fixture(name, norm=norm).problem
+        p = replace(problem, slope=-problem.slope, R=0.5)
+        x, trace = fsi_solve(p)
+        assert trace.stop_reason == "left_ball" and trace.num_steps >= 1
+        it = p.x0
+        for k, kept in enumerate(trace.iterates):
+            assert kept.tobytes() == it.tobytes()
+            ahead = it - np.matmul(p.slope, p.f(it[None])[..., None])[0, :, 0]
+            if vector_norm(ahead - p.x0, norm) > p.R + solver._SLACK:
+                break
+            it = ahead
+        assert k == trace.num_steps
+        assert x.tobytes() == it.tobytes()
+
     # at max_iter = 1 the run converges at its last allowed iterate: step_tol still wins
     @pytest.mark.parametrize("max_iter", [10000, 1])
     def test_step_tol_wins_over_residual_tol_on_one_step(self, max_iter):
@@ -784,7 +812,11 @@ class TestUniquenessProbe:
 
     @pytest.mark.parametrize("fixture, norm", [
         ("poly2d", "max"), ("poly2d", "one"), ("poly2d", "two"), ("chandrasekhar", "one"),
-    ], ids=["max", "one", "two", "blocks"])
+        *((name, norm) for name in ("scalar_quadratic", "scalar_holder")
+          for norm in norms.NORM_KINDS),
+    ], ids=["max", "one", "two", "blocks",
+            *(f"{name}-{norm}" for name in ("scalar_quadratic", "scalar_holder")
+              for norm in norms.NORM_KINDS)])
     def test_max_pairwise_distance_matches_pair_loop(self, fixture, norm):
         # loose stopping keeps the limits apart, so the distances are not all 0
         if fixture == "chandrasekhar":
